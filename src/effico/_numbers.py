@@ -49,10 +49,6 @@ def normalize_values(values: Iterable) -> tuple[Num, ...]:
     return tuple(float(p) for p in parsed)
 
 
-def as_float(x: Num) -> float:
-    return float(x)
-
-
 def format_number(x: Num, decimal: bool = False):
     """JSON-ready form: exact values as 'p/q' strings unless decimal is requested."""
     if is_exact(x) and not decimal:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Optional, Sequence
 
-from ._numbers import Num, all_exact, format_number, is_exact, parse_number
+from ._numbers import Num, all_exact, average_dot, format_number, is_exact, parse_number
 from .distribution import DiscreteDistribution
 from .errors import DimensionMismatchError, NumericalError, TooManyStatesError
 from .lp import LpBuilder, add_top_k_sum_bound, solve_lp
@@ -375,13 +375,6 @@ def _check_shapes(market: DiscreteMarket, dist: DiscreteDistribution) -> None:
         )
 
 
-def _dot_price(weights: Sequence[Num], values: Sequence[Num]) -> Num:
-    total = sum(w * v for w, v in zip(weights, values))
-    if isinstance(total, int):
-        return Fraction(total, len(weights))
-    return total / len(weights)
-
-
 def _minimizing_payoffs(weights, values, exact: bool):
     """Min price over payoffs with the given value multiset, with all argmins.
 
@@ -409,7 +402,7 @@ def _minimizing_payoffs(weights, values, exact: bool):
     for block, vals in block_slices:
         for i, v in zip(block, vals):
             base[i] = v
-    min_price = _dot_price(weights, base)
+    min_price = average_dot(weights, base)
 
     arrangements = []
     for block, vals in block_slices:
@@ -585,7 +578,7 @@ def _maximin_cutting_plane(market, fam: VertexFamily, dist, exact) -> PricingKer
             raise NumericalError(f"maximin master problem ended with status {sol.status}")
         weights = tuple(sol.x[i] for i in xs)
         cut = _anti_comonotone(weights)
-        floor = _dot_price(weights, cut)
+        floor = average_dot(weights, cut)
         if floor >= sol.x[t] - tol:
             return PricingKernel(weights)
         pool.add(cut)

@@ -4,21 +4,23 @@ The stock follows geometric Brownian motion with drift mu and a volatility
 drawn once at time 0: sigma_h with probability p, sigma_l otherwise.  The
 extreme pricing kernels are parameterized by the probability q that the
 kernel assigns to the high regime; state prices and the stock are both
-two-component lognormal mixtures whose quantiles are found by root-finding
-on the component split.
+two-component lognormal mixtures with closed-form cdfs, whose quantiles are
+found by bisection in log-value space.
 
 The cost of delivering a terminal-wealth *distribution* F is
-sup_q integral of F_kernel_q^{-1}(u) * F^{-1}(1-u) du, the anti-comonotone
-pairing price maximized over the kernel family.  For the stock's own law
-this cost sits strictly below S0, the price of the stock itself: the gap
-between hedging a distribution and hedging a claim.
+sup_q E[xi^q F^{-1}(S_q(xi^q))], the anti-comonotone pairing price maximized
+over the kernel family, with S_q the survival function of xi^q.  In regime r
+the kernel is c_r exp(-theta_r W - theta_r^2 T / 2), so a Girsanov shift of W
+turns the expectation into Gaussian quadrature of a closed-form integrand;
+no kernel quantile is inverted.  The price is concave in q because xi^q is
+affine in q.  For the stock's own law the cost sits strictly below S0, the
+price of the stock itself: the gap between hedging a distribution and
+hedging a claim.
 """
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
@@ -50,12 +52,11 @@ __all__ = [
     "curve_to_csv",
 ]
 
-_NODES = 400
+_NODES = 100
 _BISECT_ITER = 90
 _Q_TOL = 1e-8
 _EDGE = 1e-7
 _CLIP_LO = 1e-300
-_CLIP_HI = 1.0 - 1e-16
 
 
 @dataclass(frozen=True)
@@ -155,14 +156,20 @@ def stock_cdf(model: RegimeSwitchModel, x: float) -> float:
     return float(model.p * ndtr(z_h) + (1 - model.p) * ndtr(z_l))
 
 
+def _kernel_scores(model: RegimeSwitchModel, q: float, log_x):
+    """Standard scores of log x in the high- and low-regime kernel components."""
+    rt = math.sqrt(model.T)
+    th, tl = model.theta_h, model.theta_l
+    z_h = (log_x - math.log(q / model.p) + th**2 * model.T / 2) / (th * rt)
+    z_l = (log_x - math.log((1 - q) / (1 - model.p)) + tl**2 * model.T / 2) / (tl * rt)
+    return z_h, z_l
+
+
 def kernel_cdf(model: RegimeSwitchModel, q: float, x: float) -> float:
     """P(xi_T^q <= x) for the kernel that weights the high regime by q."""
     q = _check_open_unit(q, "kernel parameter q")
     x = _check_positive(x, "cdf argument")
-    rt = math.sqrt(model.T)
-    th, tl = model.theta_h, model.theta_l
-    z_h = (math.log(x) - math.log(q / model.p) + th**2 * model.T / 2) / (th * rt)
-    z_l = (math.log(x) - math.log((1 - q) / (1 - model.p)) + tl**2 * model.T / 2) / (tl * rt)
+    z_h, z_l = _kernel_scores(model, q, math.log(x))
     return float(model.p * ndtr(z_h) + (1 - model.p) * ndtr(z_l))
 
 
@@ -185,16 +192,17 @@ def _mixture_log_quantile(
     complement uc on the upper half.  Deep in either tail the component
     *split* level is not representable in floats, so root-finding on the
     split would silently saturate; the value-space formulation stays
-    conditioned all the way to the representable edge of (0, 1).
+    conditioned all the way to the representable edge of (0, 1).  A level
+    whose u rounds to 1 is still inside (0, 1) while uc > 0.
     """
-    if np.any(u <= 0.0) or np.any(u >= 1.0) or np.any(uc <= 0.0):
+    if np.any(u <= 0.0) or np.any(uc <= 0.0):
         raise BracketError("quantile level outside (0, 1)")
-    z = ndtri(np.clip(u, _CLIP_LO, _CLIP_HI))
+    lower_half = u <= 0.5
+    z = np.where(lower_half, ndtri(u), -ndtri(uc))
     y_h = m_h + s_h * z
     y_l = m_l + s_l * z
     lo = np.minimum(y_h, y_l)
     hi = np.maximum(y_h, y_l)
-    lower_half = u <= 0.5
     for _ in range(_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         z_h = (mid - m_h) / s_h
@@ -207,11 +215,7 @@ def _mixture_log_quantile(
     return 0.5 * (lo + hi)
 
 
-def _stock_quantile_array(
-    model: RegimeSwitchModel, u: np.ndarray, uc: np.ndarray | None = None
-) -> np.ndarray:
-    if uc is None:
-        uc = 1.0 - u
+def _stock_quantile_array(model: RegimeSwitchModel, u: np.ndarray, uc: np.ndarray) -> np.ndarray:
     rt = math.sqrt(model.T)
     base = math.log(model.s0) + model.mu * model.T
     y = _mixture_log_quantile(
@@ -226,11 +230,16 @@ def _stock_quantile_array(
     return np.exp(y)
 
 
-def _kernel_quantile_array(
-    model: RegimeSwitchModel, q: float, u: np.ndarray, uc: np.ndarray | None = None
-) -> np.ndarray:
-    if uc is None:
-        uc = 1.0 - u
+def stock_quantile(model: RegimeSwitchModel, u: float) -> float:
+    """Generalized inverse of stock_cdf at u in (0, 1)."""
+    u = _check_open_unit(u, "quantile level u")
+    return float(_stock_quantile_array(model, np.array([u]), np.array([1.0 - u]))[0])
+
+
+def kernel_quantile(model: RegimeSwitchModel, q: float, u: float) -> float:
+    """Generalized inverse of kernel_cdf(., q) at u in (0, 1)."""
+    q = _check_open_unit(q, "kernel parameter q")
+    u = _check_open_unit(u, "quantile level u")
     rt = math.sqrt(model.T)
     th, tl = model.theta_h, model.theta_l
     y = _mixture_log_quantile(
@@ -239,23 +248,10 @@ def _kernel_quantile_array(
         th * rt,
         math.log((1.0 - q) / (1.0 - model.p)) - tl**2 * model.T / 2,
         tl * rt,
-        u,
-        uc,
+        np.array([u]),
+        np.array([1.0 - u]),
     )
-    return np.exp(y)
-
-
-def stock_quantile(model: RegimeSwitchModel, u: float) -> float:
-    """Generalized inverse of stock_cdf at u in (0, 1)."""
-    u = _check_open_unit(u, "quantile level u")
-    return float(_stock_quantile_array(model, np.array([u]))[0])
-
-
-def kernel_quantile(model: RegimeSwitchModel, q: float, u: float) -> float:
-    """Generalized inverse of kernel_cdf(., q) at u in (0, 1)."""
-    q = _check_open_unit(q, "kernel parameter q")
-    u = _check_open_unit(u, "quantile level u")
-    return float(_kernel_quantile_array(model, q, np.array([u]))[0])
+    return float(np.exp(y[0]))
 
 
 # --------------------------------------------------------------- targets
@@ -351,7 +347,7 @@ TargetDistribution = Union[PointMass, Normal, LogNormal, MixtureStock]
 
 @lru_cache(maxsize=8)
 def _gauss_nodes(nodes: int):
-    # u = ndtr(t) substitution on t in [-8, 8]; truncated mass < 1e-14
+    # E[f(V)], V ~ N(0, 1), by Gauss-Legendre on [-8, 8]; truncated mass < 1e-14
     x, w = np.polynomial.legendre.leggauss(nodes)
     t = 8.0 * x
     weight = 8.0 * w * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
@@ -360,9 +356,36 @@ def _gauss_nodes(nodes: int):
     return t, weight
 
 
-def _target_factor(target: TargetDistribution, t: np.ndarray) -> np.ndarray:
-    # F_target^{-1}(1 - ndtr(t)) = F_target^{-1}(ndtr(-t))
-    return np.asarray(target.quantile_from_score(-t), dtype=float)
+def _pairing_price(
+    model: RegimeSwitchModel, q: float, target: TargetDistribution, nodes: int
+) -> float:
+    """E[xi^q G(xi^q)] with G = F_target^{-1} o S_q, the anti-comonotone price.
+
+    In regime r, P(r) c_r is q or 1 - q and a Girsanov shift absorbs the
+    exponential: the price is sum_r P(r) c_r E[G(xi_r(W))] with
+    W = sqrt(T) (V - theta_r sqrt(T)), V standard normal.  The target is read
+    at the normal score of the smaller tail of S_q, so neither tail cancels.
+    """
+    t, weight = _gauss_nodes(nodes)
+    rt = math.sqrt(model.T)
+    value = 0.0
+    for mass, c, theta in (
+        (q, q / model.p, model.theta_h),
+        (1.0 - q, (1.0 - q) / (1.0 - model.p), model.theta_l),
+    ):
+        w = rt * (t - theta * rt)
+        z_h, z_l = _kernel_scores(model, q, math.log(c) - theta * w - theta**2 * model.T / 2)
+        sf = model.p * ndtr(-z_h) + (1.0 - model.p) * ndtr(-z_l)
+        cdf = model.p * ndtr(z_h) + (1.0 - model.p) * ndtr(z_l)
+        score = np.where(
+            sf < 0.5,
+            ndtri(np.maximum(sf, _CLIP_LO)),
+            -ndtri(np.maximum(cdf, _CLIP_LO)),
+        )
+        value += mass * float(np.dot(weight, target.quantile_from_score(score)))
+    if not math.isfinite(value):
+        raise NumericalError("cost integral diverged; target tail too heavy")
+    return value
 
 
 def floor_price(
@@ -373,20 +396,16 @@ def floor_price(
 ) -> float:
     """Price of the anti-comonotone pairing of the target with kernel q.
 
-    Computes the integral of F_kernel^{-1}(u) F_target^{-1}(1-u) du by the
-    substitution u = Phi(t) and Gauss-Legendre quadrature on [-8, 8]; this
-    is the cheapest cost of any payoff with the target law, seen by the
-    single kernel q.  Point masses are returned exactly.
+    This is the cheapest cost of any payoff with the target law, seen by the
+    single kernel q.  It is a Gaussian expectation of a closed-form integrand
+    in value space (see _pairing_price), computed with ``nodes``
+    Gauss-Legendre nodes on [-8, 8] standard deviations.  Point masses are
+    returned exactly.
     """
     q = _check_open_unit(q, "kernel parameter q")
     if isinstance(target, PointMass):
         return target.value
-    t, weight = _gauss_nodes(nodes)
-    kq = _kernel_quantile_array(model, q, ndtr(t), ndtr(-t))
-    value = float(np.dot(weight, kq * _target_factor(target, t)))
-    if not math.isfinite(value):
-        raise NumericalError("cost integral diverged; target tail too heavy")
-    return value
+    return _pairing_price(model, q, target, nodes)
 
 
 # ---------------------------------------------------------- optimization
@@ -410,30 +429,18 @@ def distribution_superhedge_cost(
 ) -> DistributionCost:
     """sup over q of floor_price: the cost of the cheapest superhedge of a law.
 
-    A 33-point coarse grid over q locates the basin, then golden-section
-    search refines the maximizer to within 1e-8.  A RuntimeWarning flags
-    maximizers within 1e-6 of the endpoints, where the kernel family
-    degenerates.
+    floor_price is concave in q, because the kernel is affine in q, so
+    golden-section search over [1e-7, 1 - 1e-7] finds the maximizer to
+    within 1e-8.  A RuntimeWarning flags maximizers within 1e-6 of the
+    endpoints, where the kernel family degenerates.
     """
     if isinstance(target, PointMass):
         return DistributionCost(target.value, 0.5)
-    t, weight = _gauss_nodes(nodes)
-    factor = weight * _target_factor(target, t)
-    levels = ndtr(t)
-    comps = ndtr(-t)
 
     def g(q: float) -> float:
-        value = float(np.dot(factor, _kernel_quantile_array(model, q, levels, comps)))
-        if not math.isfinite(value):
-            raise NumericalError("cost integral diverged; target tail too heavy")
-        return value
+        return _pairing_price(model, q, target, nodes)
 
-    grid = np.linspace(_EDGE, 1.0 - _EDGE, 33)
-    values = [g(q) for q in grid]
-    best = int(np.argmax(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-
+    a, b = _EDGE, 1.0 - _EDGE
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = g(x1), g(x2)
@@ -497,23 +504,13 @@ class CurvePoint:
     cost_lognormal: float
 
 
-def _thread_count(tasks: int) -> int:
-    env = os.environ.get("EFFICO_THREADS")
-    if env is not None:
-        cap = int(env)
-    else:
-        cap = min(8, os.cpu_count() or 1)
-    return max(1, min(cap, tasks))
-
-
 def variance_cost_curve(
     model: RegimeSwitchModel, variances: Sequence[float]
 ) -> list[CurvePoint]:
     """Superhedging cost of normal/lognormal laws with the stock's mean, per variance.
 
     Larger variance means larger in convex order within each family, hence
-    a cheaper distribution: both columns are nonincreasing.  Rows come back
-    in grid order regardless of the worker scheduling.
+    a cheaper distribution: both columns are nonincreasing.
     """
     vs = [float(v) for v in variances]
     if not vs:
@@ -523,22 +520,13 @@ def variance_cost_curve(
     if any(b <= a for a, b in zip(vs, vs[1:])):
         raise ValueError("variance grid must be strictly increasing")
     mean = model.s0 * math.exp(model.mu * model.T)
-    targets: list[TargetDistribution] = []
-    for v in vs:
-        targets.append(Normal(mean, v))
-        targets.append(_lognormal_for(mean, v))
-
-    def cost(target: TargetDistribution) -> float:
-        return distribution_superhedge_cost(model, target).value
-
-    workers = _thread_count(len(targets))
-    if workers == 1:
-        costs = [cost(t) for t in targets]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            costs = list(pool.map(cost, targets))
     return [
-        CurvePoint(v, costs[2 * i], costs[2 * i + 1]) for i, v in enumerate(vs)
+        CurvePoint(
+            v,
+            distribution_superhedge_cost(model, Normal(mean, v)).value,
+            distribution_superhedge_cost(model, _lognormal_for(mean, v)).value,
+        )
+        for v in vs
     ]
 
 

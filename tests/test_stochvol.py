@@ -255,6 +255,22 @@ def test_vector_path_tracks_scalar_in_deep_tail():
     assert vec == pytest.approx(scal, rel=2e-4)
 
 
+def test_vector_path_past_unit_rounding():
+    # ndtr(t) rounds to 1 for t above about 8.3, and value-space pricing
+    # reaches such scores when one regime is rare; the level is still held
+    # exactly by its complement ndtr(-t)
+    t = np.array([8.0, 8.5, 9.0, 10.0])
+    x = MixtureStock(MODEL).quantile_from_score(t)
+    assert np.all(np.diff(x) > 0)
+    for xi, ti in zip(x, t):
+        z_h, z_l = (
+            (math.log(xi / MODEL.s0) - (MODEL.mu - s**2 / 2) * MODEL.T) / (s * math.sqrt(MODEL.T))
+            for s in (MODEL.sigma_h, MODEL.sigma_l)
+        )
+        sf = MODEL.p * ndtr(-z_h) + (1 - MODEL.p) * ndtr(-z_l)
+        assert sf == pytest.approx(ndtr(-ti), rel=1e-9)
+
+
 # ----------------------------------------------------------- floor price
 
 
@@ -295,6 +311,35 @@ def test_stock_law_superhedge_gap():
     res = distribution_superhedge_cost(MODEL, MixtureStock(MODEL))
     assert res.value < MODEL.s0
     assert 0.0 < res.q_star < 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_random_models_cost_bounds_and_floor_concavity():
+    # the kernel has mean one and pairs anti-comonotonically, so the cost
+    # lies between the floor at q = p and the target's mean; the kernel is
+    # affine in q, so the floor price is concave in q
+    rng = np.random.default_rng(20240712)
+    qs = np.linspace(0.02, 0.98, 49)
+    for i, v in enumerate(np.geomspace(1e-8, 0.3, 40)):
+        sigma_l = rng.uniform(0.1, 0.3)
+        m = RegimeSwitchModel(
+            mu=rng.uniform(0.02, 0.1),
+            sigma_h=sigma_l * rng.uniform(1.0, 2.5),
+            sigma_l=sigma_l,
+            p=rng.uniform(0.2, 0.8),
+            T=rng.uniform(0.5, 2.0),
+            s0=rng.uniform(0.5, 2.0),
+        )
+        mean = m.s0 * math.exp(m.mu * m.T)
+        if i % 2 == 0:
+            target = Normal(mean, v)
+        else:
+            s2 = math.log(1.0 + v / mean**2)
+            target = LogNormal(math.log(mean) - s2 / 2.0, s2)
+        cost = distribution_superhedge_cost(m, target).value
+        assert floor_price(m, m.p, target) - 1e-12 <= cost <= mean + 1e-12
+        floors = np.array([floor_price(m, q, target) for q in qs])
+        assert np.max(np.diff(floors, 2)) <= 1e-12
 
 
 # ------------------------------------------------------- moment matching
@@ -344,10 +389,9 @@ def test_variance_curve_validation():
         variance_cost_curve(MODEL, [0.1, 0.1])
 
 
-def test_curve_is_deterministic_and_thread_count_invariant(monkeypatch):
+def test_curve_is_deterministic():
     grid = [0.05, 0.1]
     first = variance_cost_curve(MODEL, grid)
-    monkeypatch.setenv("EFFICO_THREADS", "1")
     second = variance_cost_curve(MODEL, grid)
     assert first == second
     assert curve_to_csv(first) == curve_to_csv(second)
