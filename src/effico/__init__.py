@@ -8,6 +8,8 @@ canonical 3-state market, generic solvers cover small equiprobable
 markets, and a regime-switching Black-Scholes module covers the
 continuous case numerically.
 """
+from importlib import import_module as _import_module
+
 from .distribution import (
     DiscreteDistribution,
     TransformValue,
@@ -56,41 +58,61 @@ from .market import (
     price,
     superhedge_cost,
 )
-from .stochvol import (
-    DEFAULT_MODEL,
-    CurvePoint,
-    DistributionCost,
-    LogNormal,
-    MixtureStock,
-    MomentMatchedTargets,
-    Normal,
-    PointMass,
-    RegimeSwitchModel,
-    curve_to_csv,
-    distribution_superhedge_cost,
-    floor_price,
-    kernel_cdf,
-    kernel_quantile,
-    moment_matched_targets,
-    stock_cdf,
-    stock_quantile,
-    variance_cost_curve,
-)
-from .utility import (
-    CustomUtility,
-    EfficiencyReport,
-    ExpUtility,
-    GridSearchResult,
-    LogUtility,
-    PowerUtility,
-    WealthSolution,
-    closed_form_wealth,
-    cost_efficiency_check,
-    optimal_wealth,
-    share_grid_search,
-    share_payoff,
-    utility_from_name,
-)
+
+# stochvol (numpy, scipy.special) and utility (scipy.optimize) load on first
+# use, so the Fraction-only paths never import numpy or scipy.
+_LAZY = {
+    "stochvol": (
+        "DEFAULT_MODEL",
+        "CurvePoint",
+        "DistributionCost",
+        "LogNormal",
+        "MixtureStock",
+        "MomentMatchedTargets",
+        "Normal",
+        "PointMass",
+        "RegimeSwitchModel",
+        "curve_to_csv",
+        "distribution_superhedge_cost",
+        "floor_price",
+        "kernel_cdf",
+        "kernel_quantile",
+        "moment_matched_targets",
+        "stock_cdf",
+        "stock_quantile",
+        "variance_cost_curve",
+    ),
+    "utility": (
+        "CustomUtility",
+        "EfficiencyReport",
+        "ExpUtility",
+        "GridSearchResult",
+        "LogUtility",
+        "PowerUtility",
+        "WealthSolution",
+        "closed_form_wealth",
+        "cost_efficiency_check",
+        "optimal_wealth",
+        "share_grid_search",
+        "share_payoff",
+        "utility_from_name",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Resolve a lazy re-export, or the lazy submodule itself, on first access."""
+    module = _LAZY_OWNER.get(name, name)
+    if module not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = _import_module(f".{module}", __name__)
+    return mod if module == name else getattr(mod, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_OWNER})
+
 
 __version__ = "0.1.0"
 

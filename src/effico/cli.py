@@ -25,17 +25,10 @@ from .efficiency import (
 )
 from .errors import BracketError, InfeasibleError, NumericalError, TooManyStatesError
 from .market import DiscreteMarket
-from .stochvol import (
-    DEFAULT_MODEL,
-    MixtureStock,
-    RegimeSwitchModel,
-    curve_to_csv,
-    distribution_superhedge_cost,
-    variance_cost_curve,
-)
-from .utility import optimal_wealth, utility_from_name
 from .verify import available_suites, run_suites
 
+# stochvol and utility import numpy and scipy, so only the handlers that use
+# them import them: three-state and solve run on Fraction code alone.
 __all__ = ["main"]
 
 _PROBLEM_NAMES = [p.value.replace("_", "-") for p in Problem]
@@ -61,7 +54,9 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_model(path: str | None) -> RegimeSwitchModel:
+def _load_model(path: str | None):
+    from .stochvol import DEFAULT_MODEL, RegimeSwitchModel
+
     if path is None:
         return DEFAULT_MODEL
     return RegimeSwitchModel.from_dict(_load_json(path))
@@ -116,6 +111,8 @@ def _run_solve(args) -> int:
 
 
 def _run_utility(args) -> int:
+    from .utility import optimal_wealth, utility_from_name
+
     kind = utility_from_name(args.kind, args.alpha)
     sol = optimal_wealth(kind, args.x0)
     out = {"kind": args.kind}
@@ -135,6 +132,8 @@ def _run_utility(args) -> int:
 
 
 def _run_curve(args) -> int:
+    from .stochvol import curve_to_csv, variance_cost_curve
+
     model = _load_model(args.model)
     variances = [float(v) for v in args.variances.split(",") if v.strip()]
     points = variance_cost_curve(model, variances)
@@ -148,6 +147,8 @@ def _run_curve(args) -> int:
 
 
 def _run_gap(args) -> int:
+    from .stochvol import MixtureStock, distribution_superhedge_cost
+
     model = _load_model(args.model)
     res = distribution_superhedge_cost(model, MixtureStock(model))
     _emit_json(

@@ -59,6 +59,13 @@ _EDGE = 1e-7
 _CLIP_LO = 1e-300
 
 
+def _check_finite(x: float, what: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class RegimeSwitchModel:
     """Black-Scholes dynamics with volatility sigma_h w.p. p, else sigma_l.
@@ -78,7 +85,7 @@ class RegimeSwitchModel:
 
     def __post_init__(self):
         for name in ("mu", "sigma_h", "sigma_l", "p", "T", "s0"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _check_finite(getattr(self, name), name))
         if self.mu <= 0:
             raise ValueError(f"drift must be positive, got {self.mu}")
         if not self.sigma_h >= self.sigma_l > 0:
@@ -134,7 +141,7 @@ DEFAULT_MODEL = RegimeSwitchModel(mu=0.05, sigma_h=0.3, sigma_l=0.15, p=0.5, T=1
 
 def _check_positive(x: float, what: str) -> float:
     x = float(x)
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"{what} must be positive, got {x}")
     return x
 
@@ -264,7 +271,7 @@ class PointMass:
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", _check_finite(self.value, "value"))
 
     def quantile(self, u: float) -> float:
         _check_open_unit(u, "quantile level u")
@@ -282,8 +289,8 @@ class Normal:
     variance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", float(self.mean))
-        object.__setattr__(self, "variance", float(self.variance))
+        object.__setattr__(self, "mean", _check_finite(self.mean, "mean"))
+        object.__setattr__(self, "variance", _check_finite(self.variance, "variance"))
         if self.variance <= 0:
             raise ValueError(f"variance must be positive, got {self.variance}")
 
@@ -307,8 +314,8 @@ class LogNormal:
     log_variance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "log_mean", float(self.log_mean))
-        object.__setattr__(self, "log_variance", float(self.log_variance))
+        object.__setattr__(self, "log_mean", _check_finite(self.log_mean, "log-mean"))
+        object.__setattr__(self, "log_variance", _check_finite(self.log_variance, "log-variance"))
         if self.log_variance <= 0:
             raise ValueError(f"log-variance must be positive, got {self.log_variance}")
 
@@ -515,8 +522,8 @@ def variance_cost_curve(
     vs = [float(v) for v in variances]
     if not vs:
         raise ValueError("variance grid is empty")
-    if any(v <= 0 for v in vs):
-        raise ValueError("variances must be positive")
+    if not all(0 < v < math.inf for v in vs):
+        raise ValueError("variances must be positive and finite")
     if any(b <= a for a, b in zip(vs, vs[1:])):
         raise ValueError("variance grid must be strictly increasing")
     mean = model.s0 * math.exp(model.mu * model.T)

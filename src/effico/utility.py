@@ -89,8 +89,8 @@ class PowerUtility:
 
     def __post_init__(self):
         a = float(self.alpha)
-        if a == 0.0 or a >= 1.0:
-            raise ValueError(f"power utility needs alpha < 1 and alpha != 0, got {a}")
+        if not (math.isfinite(a) and a < 1.0 and a != 0.0):
+            raise ValueError(f"power utility needs a finite alpha < 1 and alpha != 0, got {a}")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", a / (a - 1.0))
 
@@ -139,6 +139,8 @@ UtilityKind = Union[LogUtility, ExpUtility, PowerUtility, CustomUtility]
 
 def utility_from_name(name: str, alpha: Optional[float] = None) -> UtilityKind:
     key = name.strip().lower()
+    if alpha is not None and key in ("log", "exp"):
+        raise ValueError(f"{key} utility takes no alpha, got {alpha}")
     if key == "log":
         return LogUtility()
     if key == "exp":
@@ -178,8 +180,8 @@ def optimal_wealth(kind: UtilityKind, x0: float) -> WealthSolution:
     analytic solution to 1e-10 and returned in analytic form.
     """
     x0 = float(x0)
-    if x0 <= 0:
-        raise ValueError(f"initial capital must be positive, got {x0}")
+    if not 0 < x0 < math.inf:
+        raise ValueError(f"initial capital must be positive and finite, got {x0}")
 
     def g(x: float) -> float:
         return kind.marginal(x) - 2.0 * kind.marginal(3.0 * x0 - 2.0 * x)
@@ -216,8 +218,8 @@ def closed_form_wealth(kind: UtilityKind, x0: float) -> WealthSolution:
     verifies agreement with ``optimal_wealth`` to 1e-10.
     """
     x0 = float(x0)
-    if x0 <= 0:
-        raise ValueError(f"initial capital must be positive, got {x0}")
+    if not 0 < x0 < math.inf:
+        raise ValueError(f"initial capital must be positive and finite, got {x0}")
     if isinstance(kind, LogUtility):
         q = 1.0 / 3.0
         payoff = (x0 / (2.0 * q), x0, x0 / (2.0 * (1.0 - q)))

@@ -12,9 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-from scipy.special import ndtr
-
 from .distribution import (
     DiscreteDistribution,
     cost_efficient_payoff,
@@ -31,26 +28,9 @@ from .efficiency import (
 )
 from .lp import LpBuilder, solve_lp
 from .market import DiscreteMarket, ParametricFamily, kernel_family, price, superhedge_cost
-from .stochvol import (
-    DEFAULT_MODEL,
-    MixtureStock,
-    PointMass,
-    RegimeSwitchModel,
-    floor_price,
-    kernel_cdf,
-    kernel_quantile,
-    stock_cdf,
-    stock_quantile,
-)
-from .utility import (
-    ExpUtility,
-    LogUtility,
-    PowerUtility,
-    closed_form_wealth,
-    optimal_wealth,
-    share_grid_search,
-)
 
+# numpy, scipy, stochvol and utility load inside the suites that use them, so
+# building the CLI parser from available_suites() stays numpy-free.
 __all__ = ["CheckResult", "available_suites", "run_suites"]
 
 _F = Fraction
@@ -115,6 +95,8 @@ def _distribution_checks(seed: int):
         _require(got.values == (_F(1, 3), _F(1, 3), _F(5, 6)), f"transform {got.values}")
 
     def transform_payoff():
+        import numpy as np
+
         # distinct kernel weights, so the candidate is the same rearrangement
         # for every draw; tied weights only guarantee the law, not the path
         rng = np.random.default_rng(seed)
@@ -197,6 +179,15 @@ def _efficiency_checks(seed: int):
 
 
 def _utility_checks(seed: int):
+    from .utility import (
+        ExpUtility,
+        LogUtility,
+        PowerUtility,
+        closed_form_wealth,
+        optimal_wealth,
+        share_grid_search,
+    )
+
     def log_case():
         sol = optimal_wealth(LogUtility(), 1.0)
         _require(max(abs(a - b) for a, b in zip(sol.payoff, (1.5, 1.0, 0.75))) < 1e-12)
@@ -219,6 +210,21 @@ def _utility_checks(seed: int):
 
 
 def _stochvol_checks(seed: int):
+    import numpy as np
+    from scipy.special import ndtr
+
+    from .stochvol import (
+        DEFAULT_MODEL,
+        MixtureStock,
+        PointMass,
+        RegimeSwitchModel,
+        floor_price,
+        kernel_cdf,
+        kernel_quantile,
+        stock_cdf,
+        stock_quantile,
+    )
+
     def degenerate():
         flat = RegimeSwitchModel(mu=0.05, sigma_h=0.2, sigma_l=0.2, p=0.5, T=1.0, s0=1.0)
         got = floor_price(flat, flat.p, MixtureStock(flat))

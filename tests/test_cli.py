@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +180,21 @@ def test_utility_power_requires_alpha(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("kind", ["log", "exp"])
+def test_utility_rejects_alpha_without_exponent(capsys, kind):
+    code, out, err = run(capsys, "utility", "--kind", kind, "--alpha", "0.5", "--x0", "1")
+    assert code == 2
+    assert out == ""
+    assert "alpha" in err
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf", "0"])
+def test_utility_rejects_bad_capital(capsys, x0):
+    code, _, err = run(capsys, "utility", "--kind", "log", "--x0", x0)
+    assert code == 2
+    assert "error:" in err
+
+
 # -------------------------------------------------------------- stochvol
 
 
@@ -229,15 +248,19 @@ def test_curve_rejects_bad_grid(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "stochvol-curve", "--variances", "")
     assert code == 2
+    code, _, err = run(capsys, "stochvol-curve", "--variances", "nan")
+    assert code == 2
+    assert "error:" in err
 
 
 def test_numerical_failures_exit_three(capsys, monkeypatch):
-    import effico.cli as cli
+    import effico.stochvol as stochvol
 
     def boom(model, target):
         raise NumericalError("cost integral diverged")
 
-    monkeypatch.setattr(cli, "distribution_superhedge_cost", boom)
+    # the handler imports the function when it runs, so it sees the patch
+    monkeypatch.setattr(stochvol, "distribution_superhedge_cost", boom)
     code, _, err = run(capsys, "stochvol-gap")
     assert code == 3
     assert "error:" in err
@@ -263,3 +286,61 @@ def test_verify_all_suites_deterministic(capsys):
     assert first == second
     assert "checks passed" in first
     assert "FAIL" not in first
+
+
+# ------------------------------------------------------------ import path
+
+# effico.__all__ as it stood before stochvol and utility became lazy
+PUBLIC_NAMES = [
+    "BracketError", "CurvePoint", "CustomUtility", "DEFAULT_MODEL",
+    "DimensionMismatchError", "DiscreteDistribution", "DiscreteMarket",
+    "DistributionCost", "EfficiencyReport", "EfficoError", "ExpUtility",
+    "GridSearchResult", "InfeasibleError", "KernelFamily", "KernelSet",
+    "KkmDiagnostics", "LogNormal", "LogUtility", "MixtureStock", "MomentMatchedTargets",
+    "Normal", "NumericalError", "Optimizer", "ParametricFamily", "PayoffSet",
+    "PointMass", "PowerUtility", "PricingKernel", "Problem", "RegimeSwitchModel",
+    "SolutionSet", "SuperhedgeResult", "ThreeStateTarget", "TooManyStatesError",
+    "TransformValue", "VertexFamily", "WealthSolution",
+    "attainable_cost_efficient_payoffs", "attainable_permutations",
+    "closed_form_wealth", "convexified_maximin_cost", "convexified_minimax_cost",
+    "cost_efficiency_check", "cost_efficient_payoff", "curve_to_csv",
+    "distribution_superhedge_cost", "distributional_transform", "floor_price",
+    "in_permutation_hull", "is_attainable_payoff", "is_convex_dominated",
+    "is_perfectly_cost_efficient", "kernel_cdf", "kernel_family", "kernel_quantile",
+    "kkm_diagnostics", "maximin_cost", "mean_preserving_contraction", "minimax_cost",
+    "moment_matched_targets", "optimal_wealth", "price", "share_grid_search",
+    "share_payoff", "solve_problem", "stock_cdf", "stock_quantile", "superhedge_cost",
+    "three_state_closed_form", "utility_from_name", "variance_cost_curve",
+]
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import effico, effico.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["three-state", "--x", "1", "--y", "2", "--z", "3", "--all"]) == 0
+    assert cli.main(["solve", "--market", sys.argv[1], "--dist", sys.argv[2], "--all"]) == 0
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+missing = [n for n in effico.__all__ if getattr(effico, n, None) is None]
+star = {}
+exec("from effico import *", star)
+print(json.dumps({
+    "heavy": heavy,
+    "missing": missing,
+    "unbound": sorted(set(effico.__all__) - set(star)),
+    "all": sorted(effico.__all__),
+}))
+"""
+
+
+def test_fraction_commands_import_no_numpy(market_files):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *market_files],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    data = json.loads(proc.stdout)
+    assert data["heavy"] == []
+    assert data["missing"] == []
+    assert data["unbound"] == []
+    assert data["all"] == PUBLIC_NAMES

@@ -42,19 +42,24 @@ def _quad_mean(quantile, nodes: int = 500) -> float:
 # ----------------------------------------------------------------- model
 
 
-def test_model_validation():
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"mu": 0.0},
+        {"sigma_h": 0.1},
+        {"sigma_l": 0.0},
+        {"p": 1.0},
+        {"T": 0.0},
+        {"s0": -1.0},
+        {"mu": math.nan},
+        {"s0": math.inf},
+        {"sigma_h": math.inf},
+        {"T": math.nan},
+    ],
+)
+def test_model_validation(bad):
     with pytest.raises(ValueError):
-        RegimeSwitchModel(mu=0.0, sigma_h=0.3, sigma_l=0.15, p=0.5, T=1.0, s0=1.0)
-    with pytest.raises(ValueError):
-        RegimeSwitchModel(mu=0.05, sigma_h=0.1, sigma_l=0.15, p=0.5, T=1.0, s0=1.0)
-    with pytest.raises(ValueError):
-        RegimeSwitchModel(mu=0.05, sigma_h=0.3, sigma_l=0.0, p=0.5, T=1.0, s0=1.0)
-    with pytest.raises(ValueError):
-        RegimeSwitchModel(mu=0.05, sigma_h=0.3, sigma_l=0.15, p=1.0, T=1.0, s0=1.0)
-    with pytest.raises(ValueError):
-        RegimeSwitchModel(mu=0.05, sigma_h=0.3, sigma_l=0.15, p=0.5, T=0.0, s0=1.0)
-    with pytest.raises(ValueError):
-        RegimeSwitchModel(mu=0.05, sigma_h=0.3, sigma_l=0.15, p=0.5, T=1.0, s0=-1.0)
+        RegimeSwitchModel(**dict(MODEL.to_dict(), **bad))
 
 
 def test_equal_volatilities_are_accepted():
@@ -145,6 +150,11 @@ def test_quantile_level_validation():
             kernel_quantile(MODEL, 0.3, bad)
     with pytest.raises(ValueError):
         kernel_quantile(MODEL, 1.0, 0.5)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            stock_cdf(MODEL, bad)
+        with pytest.raises(ValueError):
+            kernel_cdf(MODEL, 0.3, bad)
 
 
 @pytest.mark.parametrize("u", U_GRID)
@@ -218,11 +228,24 @@ def test_flat_kernel_quantile_closed_form():
 # --------------------------------------------------------------- targets
 
 
-def test_target_validation():
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Normal(1.0, 0.0),
+        lambda: LogNormal(0.0, -1.0),
+        lambda: Normal(math.nan, 1.0),
+        lambda: Normal(1.0, math.nan),
+        lambda: LogNormal(0.0, math.nan),
+        lambda: LogNormal(math.inf, 1.0),
+        lambda: PointMass(math.nan),
+    ],
+)
+def test_target_validation(make):
     with pytest.raises(ValueError):
-        Normal(1.0, 0.0)
-    with pytest.raises(ValueError):
-        LogNormal(0.0, -1.0)
+        make()
+
+
+def test_target_quantile_levels():
     for target in (PointMass(2.0), Normal(1.0, 0.2), LogNormal(0.0, 0.1)):
         with pytest.raises(ValueError):
             target.quantile(0.0)
@@ -378,15 +401,13 @@ def test_variance_curve_columns_nonincreasing():
         assert 0.0 < pt.cost_lognormal <= mean + 1e-9
 
 
-def test_variance_curve_validation():
+@pytest.mark.parametrize(
+    "grid",
+    [[], [0.1, -0.2], [0.2, 0.1], [0.1, 0.1], [math.nan], [0.1, math.inf]],
+)
+def test_variance_curve_validation(grid):
     with pytest.raises(ValueError):
-        variance_cost_curve(MODEL, [])
-    with pytest.raises(ValueError):
-        variance_cost_curve(MODEL, [0.1, -0.2])
-    with pytest.raises(ValueError):
-        variance_cost_curve(MODEL, [0.2, 0.1])
-    with pytest.raises(ValueError):
-        variance_cost_curve(MODEL, [0.1, 0.1])
+        variance_cost_curve(MODEL, grid)
 
 
 def test_curve_is_deterministic():

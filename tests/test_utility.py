@@ -37,15 +37,18 @@ def test_utility_from_name():
         utility_from_name("power")
     with pytest.raises(ValueError):
         utility_from_name("quadratic")
+    for kind in ("log", "exp"):
+        with pytest.raises(ValueError):
+            utility_from_name(kind, alpha=0.5)
 
 
-def test_power_alpha_validation():
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan, -math.inf])
+def test_power_alpha_validation(alpha):
     with pytest.raises(ValueError):
-        PowerUtility(0.0)
-    with pytest.raises(ValueError):
-        PowerUtility(1.0)
-    with pytest.raises(ValueError):
-        PowerUtility(1.5)
+        PowerUtility(alpha)
+
+
+def test_power_beta():
     assert PowerUtility(-1.0).beta == 0.5
 
 
@@ -109,11 +112,11 @@ def test_custom_utility_without_sign_change():
         optimal_wealth(linear, 1.0)
 
 
-def test_nonpositive_capital():
+@pytest.mark.parametrize("x0", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("solve", [optimal_wealth, closed_form_wealth])
+def test_nonpositive_capital(solve, x0):
     with pytest.raises(ValueError):
-        optimal_wealth(LogUtility(), 0.0)
-    with pytest.raises(ValueError):
-        closed_form_wealth(LogUtility(), -1.0)
+        solve(LogUtility(), x0)
 
 
 @given(x0=initial_capital)
