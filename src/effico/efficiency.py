@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 from typing import Optional, Sequence
 
 from ._numbers import Num, all_exact, average_dot, format_number, is_exact, parse_number
@@ -129,7 +130,7 @@ def _as_target(obj) -> ThreeStateTarget:
     return ThreeStateTarget(*vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PayoffSet:
     """A payoff point, or the segment base + t * step for t in t_range."""
 
@@ -173,7 +174,7 @@ class PayoffSet:
         return all(abs(v - (b + t * s)) <= tol for v, b, s in zip(vec, self.base, self.step))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelSet:
     """The kernel side of an optimizer: a single kernel or a parameter range."""
 
@@ -201,7 +202,7 @@ class KernelSet:
         return [lo + span * i / (count - 1) for i in range(count)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Optimizer:
     payoff: PayoffSet
     kernel: KernelSet
@@ -223,7 +224,7 @@ class Optimizer:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolutionSet:
     """Optimal value plus every optimizer pair found (points and segments)."""
 
@@ -430,26 +431,56 @@ def _pair_segments(vectors, kernel: KernelSet):
     The face of payoffs tied at a kernel is the hull of the tied vectors;
     its edges are the transposition pairs reported here.  Vectors in no
     pair are returned separately as leftover points.
+
+    All vectors rearrange one value multiset, so two of them differ in
+    exactly two places iff one is a transposition of the other: each
+    vector's partners are looked up by swapping its entries, O(m n^2)
+    work for m vectors.  Segments come ordered by the first vector's
+    index, then the second's.  The segment runs from the larger vector in
+    direction -1 at k1 and +1 at k2 (k1 < k2), so one step tuple per
+    (k1, k2) and one range per (t0, delta) are shared by every segment.
     """
+    if not vectors:
+        return [], []
+    n = len(vectors[0])
+    code = {v: c for c, v in enumerate(sorted({v for vec in vectors for v in vec}))}
+    keys = [tuple(code[v] for v in vec) for vec in vectors]
+    index = {key: i for i, key in enumerate(keys)}
+    exact = is_exact(vectors[0][0])
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    steps: dict = {}
+    ranges: dict = {}
     segments: list[Optimizer] = []
-    covered: set = set()
-    for a_idx in range(len(vectors)):
-        for b_idx in range(a_idx + 1, len(vectors)):
-            a, b = vectors[a_idx], vectors[b_idx]
-            diff = [k for k in range(len(a)) if a[k] != b[k]]
-            if len(diff) != 2:
-                continue
-            base, other = (a, b) if a >= b else (b, a)
-            k1, k2 = diff
-            delta = abs(base[k1] - other[k1])
-            step = tuple(
-                (o - c) / delta if k in (k1, k2) else (Fraction(0) if is_exact(delta) else 0.0)
-                for k, (c, o) in enumerate(zip(base, other))
-            )
-            segments.append(Optimizer(PayoffSet(base, step, (step[0] * 0, delta)), kernel))
-            covered.add(a)
-            covered.add(b)
-    leftovers = [v for v in vectors if v not in covered]
+    covered = [False] * len(vectors)
+    for a_idx, key in enumerate(keys):
+        partners = []
+        for k1 in range(n):
+            for k2 in range(k1 + 1, n):
+                if key[k1] == key[k2]:
+                    continue
+                swapped = list(key)
+                swapped[k1], swapped[k2] = key[k2], key[k1]
+                b_idx = index.get(tuple(swapped), -1)
+                if b_idx > a_idx:
+                    partners.append((b_idx, k1, k2))
+        partners.sort()
+        a = vectors[a_idx]
+        for b_idx, k1, k2 in partners:
+            b = vectors[b_idx]
+            base = a if a >= b else b
+            step = steps.get((k1, k2))
+            if step is None:
+                step = tuple(-one if k == k1 else one if k == k2 else zero for k in range(n))
+                steps[k1, k2] = step
+            # t0 = step[0] * 0 is -0.0 for a float step with k1 = 0; the key keeps it apart
+            rkey = (k1 == 0, key[k1], key[k2])
+            t_range = ranges.get(rkey)
+            if t_range is None:
+                t_range = (step[0] * 0, abs(base[k1] - base[k2]))
+                ranges[rkey] = t_range
+            segments.append(Optimizer(PayoffSet(base, step, t_range), kernel))
+            covered[a_idx] = covered[b_idx] = True
+    leftovers = [v for v, hit in zip(vectors, covered) if not hit]
     return segments, leftovers
 
 
@@ -621,14 +652,70 @@ def convexified_maximin_cost(market: DiscreteMarket, dist) -> SolutionSet:
     return _solve_maximin(market, dist, convexified=True)
 
 
+def _extreme_kernels(fam: KernelFamily) -> tuple[PricingKernel, ...]:
+    if isinstance(fam, ParametricFamily):
+        return fam.endpoint_kernels()
+    return fam.vertices
+
+
+def _integer_scaled(values: Sequence[Fraction]) -> list[int]:
+    """Exact values times their least common denominator: integers in the same ratios."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values]
+
+
+def _values_at(values: Sequence[Num], arrangement: Sequence[int]) -> tuple[Num, ...]:
+    """The values an arrangement of first-occurrence indices stands for.
+
+    The k-th use of an index takes the k-th of the values equal to it, as
+    the first permutation of ``values`` with that pattern does.  The choice
+    shows only for floats, where 0.0 and -0.0 are equal.
+    """
+    used = dict.fromkeys(arrangement, 0)
+    out = []
+    for c in arrangement:
+        out.append(values[c + used[c]])
+        used[c] += 1
+    return tuple(out)
+
+
 def minimax_cost(market: DiscreteMarket, dist) -> SolutionSet:
-    """Cheapest superhedging cost over payoffs distributed exactly as ``dist``."""
+    """Cheapest superhedging cost over payoffs distributed exactly as ``dist``.
+
+    Every arrangement is first screened by its prices under the extreme
+    kernels, scaled to integers for exact input and in floats otherwise;
+    only arrangements tied with the cheapest get a full ``superhedge_cost``.
+    """
     dist = _as_dist(dist)
     _check_shapes(market, dist)
     exact = market.is_exact and all_exact(dist.values)
     fam = kernel_family(market)
-    perms = sorted(set(permutations(dist.values)), reverse=True)
-    results = [(vec, superhedge_cost(fam, vec)) for vec in perms]
+    n = dist.n
+    values = dist.values
+    rows = [k.weights for k in _extreme_kernels(fam)]
+    if exact:
+        xs = _integer_scaled(values)
+        flat = _integer_scaled([w for row in rows for w in row])
+        rows = [flat[i : i + n] for i in range(0, len(flat), n)]
+        margin = 0
+    else:
+        # Scores are n times prices, and prices lie between the extreme
+        # values: this is twice the tie tolerance below, so rounding cannot
+        # screen out a tied arrangement.
+        xs = [float(v) for v in values]
+        rows = [[float(w) for w in row] for row in rows]
+        margin = 2 * n * _VALUE_TOL * max(1.0, abs(xs[0]), abs(xs[-1]))
+    # Arrangements of first-occurrence indices sort like the arrangements of
+    # the values themselves.
+    first = [values.index(v) for v in values]
+    arrangements = sorted(set(permutations(first)), reverse=True)
+    scores = [max(sum(w * xs[c] for w, c in zip(row, arr)) for row in rows) for arr in arrangements]
+    cut = min(scores) + margin
+    results = []
+    for arr, score in zip(arrangements, scores):
+        if score <= cut:
+            vec = _values_at(values, arr)
+            results.append((vec, superhedge_cost(fam, vec)))
     value = min(res.value for _, res in results)
     tol = 0 if exact else _VALUE_TOL * max(1.0, abs(float(value)))
     opts: list[Optimizer] = []
@@ -656,10 +743,7 @@ def convexified_minimax_cost(market: DiscreteMarket, dist) -> SolutionSet:
     _check_shapes(market, dist)
     exact = market.is_exact and all_exact(dist.values)
     fam = kernel_family(market)
-    if isinstance(fam, ParametricFamily):
-        extreme = list(fam.endpoint_kernels())
-    else:
-        extreme = list(fam.vertices)
+    extreme = _extreme_kernels(fam)
 
     vals = dist.values
     n = dist.n

@@ -169,16 +169,22 @@ class _Tableau:
         self.floor = 0 if exact else _PIVOT_FLOOR
 
     def pivot(self, i: int, j: int, cost: list[Num]) -> None:
-        pv = self.rows[i][j]
-        self.rows[i] = [v / pv for v in self.rows[i]]
+        """Pivot on (i, j) in place, touching only the pivot row's nonzero columns.
+
+        Tableau rows are mostly zeros, and a zero in the pivot row leaves
+        its column unchanged in every other row.
+        """
         prow = self.rows[i]
-        for r in range(len(self.rows)):
-            if r != i and self.rows[r][j] != 0:
-                factor = self.rows[r][j]
-                self.rows[r] = [a - factor * b for a, b in zip(self.rows[r], prow)]
-        if cost[j] != 0:
-            factor = cost[j]
-            cost[:] = [a - factor * b for a, b in zip(cost, prow)]
+        pv = prow[j]
+        cols = [k for k, v in enumerate(prow) if v != 0]
+        if pv != 1:
+            for k in cols:
+                prow[k] = prow[k] / pv
+        for row in self.rows + [cost]:
+            factor = row[j]
+            if factor != 0 and row is not prow:
+                for k in cols:
+                    row[k] = row[k] - factor * prow[k]
         self.basis[i] = j
 
     def run(self, cost: list[Num], banned: set[int], maxiter: int) -> str:
@@ -217,9 +223,11 @@ class _Tableau:
 def _reduced_cost_row(raw: list[Num], tab: _Tableau) -> list[Num]:
     cost = list(raw) + [tab.zero]
     for i, b in enumerate(tab.basis):
-        if cost[b] != 0:
-            factor = cost[b]
-            cost = [a - factor * r for a, r in zip(cost, tab.rows[i])]
+        factor = cost[b]
+        if factor != 0:
+            for k, v in enumerate(tab.rows[i]):
+                if v != 0:
+                    cost[k] = cost[k] - factor * v
     return cost
 
 

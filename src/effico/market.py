@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence, Union
 
@@ -348,12 +349,23 @@ def _enumerate_vertices(rows, rhs, n, rank, exact) -> list[tuple[Num, ...]]:
 
 
 def kernel_family(market: DiscreteMarket, max_states: int = 12) -> KernelFamily:
-    """All pricing kernels of a market, as a point, a segment, or a vertex list."""
+    """All pricing kernels of a market, as a point, a segment, or a vertex list.
+
+    Families are cached per market, so the solvers of one law share one
+    enumeration and the results built from it share its kernel weights.
+    """
     if market.n > max_states:
         raise TooManyStatesError(
             f"kernel enumeration supports up to {max_states} states, got {market.n}"
         )
-    rows, rhs, exact = _constraint_system(market)
+    return _cached_family(market, market.is_exact)
+
+
+@lru_cache(maxsize=64)
+def _cached_family(market: DiscreteMarket, exact: bool) -> KernelFamily:
+    # ``exact`` is part of the key because an exact market compares equal
+    # to its float copy.
+    rows, rhs, _ = _constraint_system(market)
     particular, null_basis = _solve_affine(rows, rhs, market.n, exact)
     dim = len(null_basis)
     if dim == 0:

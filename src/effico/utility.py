@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from scipy.optimize import brentq
-
 from ._numbers import Num, normalize_values
 from .distribution import DiscreteDistribution, is_convex_dominated
 from .efficiency import convexified_minimax_cost, maximin_cost, minimax_cost
@@ -171,12 +169,33 @@ def _mean_utility(kind: UtilityKind, payoff: Sequence[float]) -> float:
     return math.fsum(kind.value(v) for v in payoff) / len(payoff)
 
 
+def _bisect(g: Callable[[float], float], lo: float, hi: float, g_lo: float, g_hi: float) -> float:
+    """A root of g on [lo, hi], where g(lo) and g(hi) differ in sign or vanish.
+
+    Halves the bracket until its ends are adjacent floats and returns the
+    end with the smaller |g|.
+    """
+    if g_lo == 0.0 or g_hi == 0.0:
+        return lo if g_lo == 0.0 else hi
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo if abs(g_lo) <= abs(g_hi) else hi
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+
+
 def optimal_wealth(kind: UtilityKind, x0: float) -> WealthSolution:
     """Maximize expected utility over attainable wealth profiles.
 
-    Solves u'(x) = 2 u'(3x0 - 2x) by bracketed root-finding; g(x) =
-    u'(x) - 2u'(3x0 - 2x) is strictly decreasing for concave u, so the
-    root is unique.  Closed-form kinds are cross-checked against their
+    Solves u'(x) = 2 u'(3x0 - 2x) by bisection down to adjacent floats;
+    g(x) = u'(x) - 2u'(3x0 - 2x) is strictly decreasing for concave u, so
+    the root is unique.  Closed-form kinds are cross-checked against their
     analytic solution to 1e-10 and returned in analytic form.
     """
     x0 = float(x0)
@@ -192,7 +211,7 @@ def optimal_wealth(kind: UtilityKind, x0: float) -> WealthSolution:
         raise BracketError(
             f"first-order condition has no sign change on [{lo}, {hi}]"
         )
-    root = float(brentq(g, lo, hi, xtol=1e-15, rtol=1e-15))
+    root = _bisect(g, lo, hi, g_lo, g_hi)
     residual = g(root)
     if abs(residual) > _FOC_TOL:
         raise NumericalError(

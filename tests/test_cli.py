@@ -319,6 +319,7 @@ import effico, effico.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["three-state", "--x", "1", "--y", "2", "--z", "3", "--all"]) == 0
     assert cli.main(["solve", "--market", sys.argv[1], "--dist", sys.argv[2], "--all"]) == 0
+    assert cli.main(["utility", "--kind", "log", "--x0", "2"]) == 0
 heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 missing = [n for n in effico.__all__ if getattr(effico, n, None) is None]
 star = {}

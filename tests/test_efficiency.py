@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,8 +8,15 @@ from hypothesis import strategies as st
 
 from effico.distribution import DiscreteDistribution, in_permutation_hull
 from effico.efficiency import (
+    KernelSet,
+    Optimizer,
+    PayoffSet,
     Problem,
+    SolutionSet,
     ThreeStateTarget,
+    _VALUE_TOL,
+    _minimizing_payoffs,
+    _pair_segments,
     attainable_cost_efficient_payoffs,
     attainable_permutations,
     convexified_maximin_cost,
@@ -258,6 +266,103 @@ def test_generic_four_state_vertex_market():
         superhedge_cost(fam, p).value for p in set(permutations(dist.values))
     )
     assert mm.value == brute
+
+
+def _pair_segments_reference(vectors, kernel):
+    """All-pairs pairing: compare every two vectors, keep those differing in two places."""
+    segments = []
+    covered = set()
+    for a_idx in range(len(vectors)):
+        for b_idx in range(a_idx + 1, len(vectors)):
+            a, b = vectors[a_idx], vectors[b_idx]
+            diff = [k for k in range(len(a)) if a[k] != b[k]]
+            if len(diff) != 2:
+                continue
+            base, other = (a, b) if a >= b else (b, a)
+            k1, k2 = diff
+            delta = abs(base[k1] - other[k1])
+            step = tuple(
+                (o - c) / delta if k in (k1, k2) else (F(0) if isinstance(delta, F) else 0.0)
+                for k, (c, o) in enumerate(zip(base, other))
+            )
+            segments.append(Optimizer(PayoffSet(base, step, (step[0] * 0, delta)), kernel))
+            covered.add(a)
+            covered.add(b)
+    return segments, [v for v in vectors if v not in covered]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_pair_segments_match_all_pairs_reference(exact):
+    rng = random.Random(20241018 + exact)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        levels = rng.sample(range(1, 9), rng.randint(1, n))
+        weights = [F(rng.choice(levels)) for _ in range(n)]
+        values = [F(rng.randint(-4, 6), rng.randint(1, 3)) for _ in range(n)]
+        if not exact:
+            # a near-tie inside the float tolerance still forms one block
+            weights = [float(w) + rng.choice((0.0, 1e-12)) for w in weights]
+            values = [float(v) for v in values]
+        _, vectors = _minimizing_payoffs(weights, values, exact)
+        kernel = KernelSet(weights=tuple(weights))
+        got = _pair_segments(vectors, kernel)
+        want = _pair_segments_reference(vectors, kernel)
+        assert repr(got) == repr(want)
+
+
+def _minimax_reference(market, dist):
+    """Minimax with a full superhedge_cost for every arrangement."""
+    exact = market.is_exact and dist.is_exact
+    fam = kernel_family(market)
+    results = [
+        (vec, superhedge_cost(fam, vec))
+        for vec in sorted(set(permutations(dist.values)), reverse=True)
+    ]
+    value = min(res.value for _, res in results)
+    tol = 0 if exact else _VALUE_TOL * max(1.0, abs(float(value)))
+    opts = []
+    for vec, res in results:
+        if abs(res.value - value) > tol:
+            continue
+        if res.u_range is not None:
+            kernels = [KernelSet(u_range=res.u_range, boundary=res.any_boundary)]
+        else:
+            kernels = [KernelSet(k.weights, k.u, boundary=k.is_boundary) for k in res.kernels]
+        opts.extend(Optimizer(PayoffSet(vec), k) for k in kernels)
+    return SolutionSet(Problem.MINIMAX, value, tuple(opts))
+
+
+def _random_priced_market(rng, n, assets):
+    """Terminal payoffs in [0, 12], spot prices set by a random positive kernel."""
+    kernel = [rng.randint(1, 6) for _ in range(n)]
+    rows = tuple(tuple(F(rng.randint(0, 12)) for _ in range(n)) for _ in range(assets))
+    s0 = tuple(sum(F(k) * v for k, v in zip(kernel, row)) / sum(kernel) for row in rows)
+    return DiscreteMarket(n, s0, rows)
+
+
+def test_minimax_matches_unpruned_reference():
+    rng = random.Random(5)
+    for trial in range(24):
+        n = rng.randint(4, 5)
+        market = _random_priced_market(rng, n, rng.randint(1, n - 2))
+        values = [F(rng.randint(-6, 12), rng.randint(1, 2)) for _ in range(n)]
+        if trial % 3 == 2:
+            values[1] = values[0]
+        cases = [(market, DiscreteDistribution(values))]
+        floats = DiscreteMarket(
+            n, tuple(float(v) for v in market.s0), tuple(tuple(map(float, r)) for r in market.sT)
+        )
+        cases.append((floats, DiscreteDistribution([float(v) for v in values])))
+        for mkt, dist in cases:
+            got = minimax_cost(mkt, dist)
+            want = _minimax_reference(mkt, dist)
+            assert got == want
+            assert repr(got) == repr(want)
+    # 0.0 and -0.0 are equal values; the optimizer keeps the sign of each zero
+    for market in (CANON, DiscreteMarket(4, (5.0,), ((2.0, 9.0, 1.0, 8.0),))):
+        for values in ((-0.0, 0.0, 1.0, 3.0), (0.0, 2.0, -0.0, 3.0)):
+            dist = DiscreteDistribution(values[: market.n])
+            assert repr(minimax_cost(market, dist)) == repr(_minimax_reference(market, dist))
 
 
 def test_state_count_caps():

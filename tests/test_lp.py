@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from effico.lp import LinearProgram, LpBuilder, add_top_k_sum_bound, solve_lp
+from effico.lp import LinearProgram, LpBuilder, _Tableau, add_top_k_sum_bound, solve_lp
 
 F = Fraction
 
@@ -152,3 +153,81 @@ def test_random_lps_match_scipy():
         assert np.all(a_ub @ x <= b_ub + 1e-8)
         for xv, (lo, hi) in zip(x, bounds):
             assert lo - 1e-9 <= xv <= hi + 1e-9
+
+
+def _dense_pivot(self, i, j, cost):
+    """Pivot that rewrites every entry of every row, zeros included."""
+    pv = self.rows[i][j]
+    self.rows[i] = [v / pv for v in self.rows[i]]
+    prow = self.rows[i]
+    for r in range(len(self.rows)):
+        if r != i and self.rows[r][j] != 0:
+            factor = self.rows[r][j]
+            self.rows[r] = [a - factor * b for a, b in zip(self.rows[r], prow)]
+    if cost[j] != 0:
+        factor = cost[j]
+        cost[:] = [a - factor * b for a, b in zip(cost, prow)]
+    self.basis[i] = j
+
+
+def _random_exact_program(rng: random.Random):
+    """Rational LP feasible at a random point x0: box, lower-only, upper-only and
+    free variables, inequality rows with slack and equality rows through x0."""
+    n = rng.randint(2, 6)
+
+    def rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    x0 = [rat() for _ in range(n)]
+    bounds = []
+    for x in x0:
+        kind = rng.choice(("box", "lo", "hi", "free"))
+        lo = x - rng.randint(0, 3) if kind in ("box", "lo") else None
+        hi = x + rng.randint(0, 3) if kind in ("box", "hi") else None
+        bounds.append((lo, hi))
+    a_ub = [[rat() for _ in range(n)] for _ in range(rng.randint(1, 4))]
+    b_ub = [sum(a * x for a, x in zip(row, x0)) + rng.randint(0, 2) for row in a_ub]
+    # a box around x0 keeps the program bounded
+    for j in range(n):
+        for sign in (1, -1):
+            row = [F(0)] * n
+            row[j] = F(sign)
+            a_ub.append(row)
+            b_ub.append(sign * x0[j] + 5)
+    a_eq = [[rat() for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    b_eq = [sum(a * x for a, x in zip(row, x0)) for row in a_eq]
+    c = [rat() for _ in range(n)]
+    return LinearProgram(
+        tuple(c), tuple(map(tuple, a_ub)), tuple(b_ub), tuple(map(tuple, a_eq)), tuple(b_eq),
+        tuple(bounds),
+    )
+
+
+def test_random_exact_lps_match_highs_and_dense_pivot(monkeypatch):
+    rng = random.Random(1018)
+    for _ in range(60):
+        lp = _random_exact_program(rng)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert isinstance(sol.value, Fraction) and all(isinstance(v, Fraction) for v in sol.x)
+        ref = linprog(
+            [float(v) for v in lp.objective],
+            A_ub=[[float(v) for v in row] for row in lp.a_ub],
+            b_ub=[float(v) for v in lp.b_ub],
+            A_eq=[[float(v) for v in row] for row in lp.a_eq] or None,
+            b_eq=[float(v) for v in lp.b_eq] or None,
+            bounds=[(None if lo is None else float(lo), None if hi is None else float(hi))
+                    for lo, hi in lp.bounds],
+            method="highs",
+        )
+        assert ref.status == 0
+        assert float(sol.value) == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        x = sol.x
+        assert sol.value == sum(c * v for c, v in zip(lp.objective, x))
+        assert all(sum(a * v for a, v in zip(row, x)) <= b for row, b in zip(lp.a_ub, lp.b_ub))
+        assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(lp.a_eq, lp.b_eq))
+        assert all((lo is None or lo <= v) and (hi is None or v <= hi)
+                   for v, (lo, hi) in zip(x, lp.bounds))
+        with monkeypatch.context() as patch:
+            patch.setattr(_Tableau, "pivot", _dense_pivot)
+            assert solve_lp(lp) == sol

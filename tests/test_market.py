@@ -187,3 +187,14 @@ def test_float_market_agrees_with_exact():
     k = fam.kernel_at(0.2)
     exact = FAMILY.kernel_at(F(1, 5))
     assert k.weights == pytest.approx([float(w) for w in exact.weights], abs=1e-12)
+
+
+def test_family_cache_keeps_exact_and_float_markets_apart():
+    exact = DiscreteMarket(4, (F(5),), ((F(2), F(9), F(1), F(8)),))
+    floats = DiscreteMarket(4, (5.0,), ((2.0, 9.0, 1.0, 8.0),))
+    assert exact == floats and hash(exact) == hash(floats)
+    for market, kind in ((floats, float), (exact, Fraction), (floats, float)):
+        fam = kernel_family(market)
+        assert isinstance(fam, VertexFamily)
+        assert all(type(w) is kind for k in fam.vertices for w in k.weights)
+        assert kernel_family(market) is fam
