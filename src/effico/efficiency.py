@@ -62,7 +62,6 @@ __all__ = [
 _VALUE_TOL = 1e-9
 _MATCH_TOL = 1e-9
 _GENERIC_MAX_STATES = 7
-_CUT_LIMIT = 500
 
 _FIFTH = Fraction(1, 5)
 _QUARTER = Fraction(1, 4)
@@ -409,19 +408,17 @@ def _minimizing_payoffs(weights, values, exact: bool):
     for block, vals in block_slices:
         if len(set(vals)) == 1:
             arrangements.append([vals])
-        elif len(block) > _GENERIC_MAX_STATES:
-            raise TooManyStatesError(
-                f"too many tied kernel weights ({len(block)}) to enumerate optimizers"
-            )
         else:
-            arrangements.append(sorted(set(permutations(vals))))
-    vectors = set()
+            # dict.fromkeys keeps the sorted order of the permutations, so the
+            # final sort is cheap; distinct block arrangements combine distinctly
+            arrangements.append(list(dict.fromkeys(permutations(vals))))
+    vectors = []
     for combo in product(*arrangements):
         vec = [None] * n
         for (block, _), vals in zip(block_slices, combo):
             for i, v in zip(block, vals):
                 vec[i] = v
-        vectors.add(tuple(vec))
+        vectors.append(tuple(vec))
     return min_price, sorted(vectors, reverse=True)
 
 
@@ -559,11 +556,7 @@ def _maximin_vertex(market, fam: VertexFamily, dist, exact, convexified):
     if len(fam.vertices) == 1:
         best_kernel = fam.vertices[0]
     else:
-        if market.n > _GENERIC_MAX_STATES:
-            raise TooManyStatesError(
-                f"generic maximin supports up to {_GENERIC_MAX_STATES} states, got {market.n}"
-            )
-        best_kernel = _maximin_cutting_plane(market, fam, dist, exact)
+        best_kernel = _maximin_kernel(market, dist, exact)
     value, vectors = _minimizing_payoffs(best_kernel.weights, dist.values, exact)
     kset = _kernel_set_for(best_kernel)
     opts: list[Optimizer] = []
@@ -576,44 +569,36 @@ def _maximin_vertex(market, fam: VertexFamily, dist, exact, convexified):
     return value, opts
 
 
-def _maximin_cutting_plane(market, fam: VertexFamily, dist, exact) -> PricingKernel:
-    """max over the kernel polytope of the min permuted price, by cut generation."""
+def _maximin_kernel(market, dist, exact) -> PricingKernel:
+    """A kernel maximizing the cheapest rearrangement price, by one LP.
+
+    With sorted values v_(1) <= ... <= v_(n) and gaps d_k = v_(k+1) - v_(k),
+    n times the cheapest price under weights w is n v_(1) plus the sum over
+    k of d_k times the sum of the n - k smallest weights, and that sum is
+    the max over theta of (n - k) theta - sum_i (theta - w_i)^+: the lift of
+    ``add_top_k_sum_bound``, applied to the bottom of w.
+    """
     n = market.n
     zero = Fraction(0) if exact else 0.0
-
-    def _anti_comonotone(weights):
-        order = sorted(range(n), key=lambda i: (-float(weights[i]), i))
-        vec = [zero] * n
-        for i, v in zip(order, sorted(dist.values)):
-            vec[i] = v
-        return tuple(vec)
-
-    pool = {_anti_comonotone(k.weights) for k in fam.vertices}
-    vmin, vmax = min(dist.values), max(dist.values)
-    tol = 0 if exact else 1e-9
-
-    for _ in range(_CUT_LIMIT):
-        builder = LpBuilder()
-        xs = [builder.add_var(lo=zero) for _ in range(n)]
-        t = builder.add_var(cost=-1, lo=vmin, hi=vmax)
-        builder.add_eq({i: 1 for i in xs}, n)
-        for j in range(market.assets):
-            builder.add_eq({xs[i]: market.sT[j][i] for i in range(n)}, n * market.s0[j])
-        for vec in pool:
-            coeffs = {t: n}
-            for i in range(n):
-                coeffs[xs[i]] = -vec[i]
-            builder.add_ub(coeffs, zero)
-        sol = solve_lp(builder.build(), sense="min")
-        if sol.status != "optimal":
-            raise NumericalError(f"maximin master problem ended with status {sol.status}")
-        weights = tuple(sol.x[i] for i in xs)
-        cut = _anti_comonotone(weights)
-        floor = average_dot(weights, cut)
-        if floor >= sol.x[t] - tol:
-            return PricingKernel(weights)
-        pool.add(cut)
-    raise NumericalError("maximin cut generation did not converge")
+    vals = dist.values
+    builder = LpBuilder()
+    ws = [builder.add_var(lo=zero) for _ in range(n)]
+    builder.add_eq({w: 1 for w in ws}, n)
+    for j in range(market.assets):
+        builder.add_eq({ws[i]: market.sT[j][i] for i in range(n)}, n * market.s0[j])
+    gaps = [(k, vals[k] - vals[k - 1]) for k in range(1, n) if vals[k] > vals[k - 1]]
+    thetas = [builder.add_var(cost=gap * (n - k)) for k, gap in gaps]
+    overs = [[builder.add_var(cost=-gap, lo=zero) for _ in ws] for _, gap in gaps]
+    # Bland's rule follows the column and row order.  Rows grouped by state
+    # pivot about a quarter less than rows grouped by gap when the uniform
+    # kernel is admissible, and no more otherwise.
+    for i, w in enumerate(ws):
+        for theta, over in zip(thetas, overs):
+            builder.add_ub({theta: 1, w: -1, over[i]: -1}, zero)
+    sol = solve_lp(builder.build(), sense="max")
+    if sol.status != "optimal":
+        raise NumericalError(f"maximin LP ended with status {sol.status}")
+    return PricingKernel(tuple(sol.x[w] for w in ws))
 
 
 def _solve_maximin(market, dist, convexified: bool) -> SolutionSet:
@@ -631,9 +616,11 @@ def maximin_cost(market: DiscreteMarket, dist) -> SolutionSet:
     """sup over kernels of the cheapest rearrangement price of the distribution.
 
     The inner minimum is the anti-comonotone pairing of kernel weights and
-    distribution values; along a one-parameter family it is piecewise affine
-    and concave, so the outer maximum is found at breakpoints.  Ties are
-    reported in full, including whole flat parameter ranges.
+    distribution values; it is concave in the kernel.  Along a one-parameter
+    family the outer maximum is found at breakpoints and ties are reported
+    in full, including whole flat parameter ranges.  On a vertex family it is
+    one LP, and the optimizers listed are those at the one maximin kernel
+    that LP returns.
     """
     dist = _as_dist(dist)
     _check_shapes(market, dist)

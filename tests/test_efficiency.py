@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effico import efficiency
 from effico.distribution import DiscreteDistribution, in_permutation_hull
 from effico.efficiency import (
     KernelSet,
@@ -30,7 +31,7 @@ from effico.efficiency import (
     three_state_closed_form,
 )
 from effico.errors import DimensionMismatchError, TooManyStatesError
-from effico.market import DiscreteMarket, kernel_family, price, superhedge_cost
+from effico.market import DiscreteMarket, VertexFamily, kernel_family, price, superhedge_cost
 
 F = Fraction
 
@@ -253,7 +254,7 @@ def test_generic_four_state_vertex_market():
     cmm = convexified_minimax_cost(market, dist)
     mm = minimax_cost(market, dist)
     assert mx.value == cmx.value
-    assert mx.value <= cmm.value <= mm.value
+    assert mx.value == cmm.value <= mm.value
 
     for opt in mx.optimizers:
         assert price(opt.kernel.weights, opt.payoff.base) == mx.value
@@ -340,6 +341,11 @@ def _random_priced_market(rng, n, assets):
     return DiscreteMarket(n, s0, rows)
 
 
+def _float_copy(market):
+    rows = tuple(tuple(float(v) for v in row) for row in market.sT)
+    return DiscreteMarket(market.n, tuple(float(v) for v in market.s0), rows)
+
+
 def test_minimax_matches_unpruned_reference():
     rng = random.Random(5)
     for trial in range(24):
@@ -349,10 +355,7 @@ def test_minimax_matches_unpruned_reference():
         if trial % 3 == 2:
             values[1] = values[0]
         cases = [(market, DiscreteDistribution(values))]
-        floats = DiscreteMarket(
-            n, tuple(float(v) for v in market.s0), tuple(tuple(map(float, r)) for r in market.sT)
-        )
-        cases.append((floats, DiscreteDistribution([float(v) for v in values])))
+        cases.append((_float_copy(market), DiscreteDistribution([float(v) for v in values])))
         for mkt, dist in cases:
             got = minimax_cost(mkt, dist)
             want = _minimax_reference(mkt, dist)
@@ -363,6 +366,74 @@ def test_minimax_matches_unpruned_reference():
         for values in ((-0.0, 0.0, 1.0, 3.0), (0.0, 2.0, -0.0, 3.0)):
             dist = DiscreteDistribution(values[: market.n])
             assert repr(minimax_cost(market, dist)) == repr(_minimax_reference(market, dist))
+
+
+def test_maximin_on_float_six_state_market():
+    """Both maximin solvers match convexified minimax, to 1e-9 and exactly on a Fraction copy."""
+    law = (3.0, 1.5, 9.0, 4.5, 9.0, 4.0)
+    market = DiscreteMarket(6, (71 / 13,), ((9.0, 8.0, 2.0, 6.0, 4.0, 4.0),))
+    want = convexified_minimax_cost(market, law).value
+    assert want == pytest.approx(933 / 182, abs=1e-12)
+    for solve in (maximin_cost, convexified_maximin_cost):
+        assert abs(solve(market, law).value - want) <= 1e-9
+
+    exact = DiscreteMarket(6, (F(71, 13),), ((9, 8, 2, 6, 4, 4),))
+    exact_law = tuple(F(v) for v in law)
+    for solve in (maximin_cost, convexified_maximin_cost, convexified_minimax_cost):
+        assert solve(exact, exact_law).value == F(933, 182)
+
+
+def _assert_maximin_optimizers(market, dist, sol, tol):
+    n = market.n
+    for opt in sol.optimizers:
+        w = opt.kernel.weights
+        assert all(v >= -tol for v in w)
+        assert abs(sum(w) - n) <= tol
+        for s0, row in zip(market.s0, market.sT):
+            assert abs(sum(a * b for a, b in zip(w, row)) - n * s0) <= tol * (1 + abs(s0))
+        # a point, or both ends of a segment: the rest follows by linearity
+        for payoff in opt.payoff.sample(2):
+            assert abs(price(w, payoff) - sol.value) <= tol
+            assert all(abs(a - b) <= tol for a, b in zip(sorted(payoff), dist.values))
+
+
+def test_random_vertex_markets_maximin_chain(monkeypatch):
+    calls = []
+    solve_lp = efficiency.solve_lp
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(efficiency, "solve_lp", counting_solve_lp)
+    rng = random.Random(6)
+    checked = 0
+    while checked < 16:
+        n = rng.randint(4, 6)
+        market = _random_priced_market(rng, n, rng.randint(1, n - 2))
+        fam = kernel_family(market)
+        if not isinstance(fam, VertexFamily) or len(fam.vertices) < 2:
+            continue
+        checked += 1
+        values = [F(rng.randint(-6, 12), rng.randint(1, 3)) for _ in range(n)]
+        if checked % 4 == 0:
+            values[1] = values[0]
+        exact = (market, DiscreteDistribution(values), 0)
+        floats = (_float_copy(market), DiscreteDistribution([float(v) for v in values]), 1e-9)
+        for mkt, dist, tol in (exact, floats):
+            sols = []
+            for solve in (maximin_cost, convexified_maximin_cost):
+                calls.clear()
+                sols.append(solve(mkt, dist))
+                assert len(calls) == 1
+            mx, cmx = sols
+            cmm = convexified_minimax_cost(mkt, dist)
+            mm = minimax_cost(mkt, dist)
+            assert abs(mx.value - cmx.value) <= tol
+            assert abs(mx.value - cmm.value) <= tol
+            assert cmm.value <= mm.value + tol
+            _assert_maximin_optimizers(mkt, dist, mx, tol)
+            _assert_maximin_optimizers(mkt, dist, cmx, tol)
 
 
 def test_state_count_caps():
