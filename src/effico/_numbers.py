@@ -8,6 +8,7 @@ solvers without drift while float data uses the documented tolerances.
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -42,10 +43,17 @@ def all_exact(values: Iterable) -> bool:
 
 
 def normalize_values(values: Iterable) -> tuple[Num, ...]:
-    """Parse a sequence: all-Fraction if every entry is exact, else all-float."""
+    """Parse a sequence: all-Fraction if every entry is exact, else all-float.
+
+    A UserWarning names the first float when it demotes a Fraction or string.
+    """
+    values = tuple(values)
     parsed = [parse_number(v) for v in values]
     if all(isinstance(p, Fraction) for p in parsed):
         return tuple(parsed)
+    if any(isinstance(v, (Fraction, str)) for v in values):
+        i = next(i for i, p in enumerate(parsed) if isinstance(p, float))
+        warnings.warn(f"entry {i} is float {values[i]!r}: exact entries become floats", stacklevel=2)
     return tuple(float(p) for p in parsed)
 
 

@@ -5,7 +5,7 @@ drawn once at time 0: sigma_h with probability p, sigma_l otherwise.  The
 extreme pricing kernels are parameterized by the probability q that the
 kernel assigns to the high regime; state prices and the stock are both
 two-component lognormal mixtures with closed-form cdfs, whose quantiles are
-found by bisection in log-value space.
+found by safeguarded Newton steps on the log cdf in log-value space.
 
 The cost of delivering a terminal-wealth *distribution* F is
 sup_q E[xi^q F^{-1}(S_q(xi^q))], the anti-comonotone pairing price maximized
@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import BracketError, NumericalError
 
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _NODES = 100
-_BISECT_ITER = 90
+_ROOT_ITER = 90
 _Q_TOL = 1e-8
 _EDGE = 1e-7
 _CLIP_LO = 1e-300
@@ -111,26 +111,12 @@ class RegimeSwitchModel:
     @classmethod
     def from_dict(cls, data: dict) -> "RegimeSwitchModel":
         try:
-            return cls(
-                mu=data["mu"],
-                sigma_h=data["sigma_h"],
-                sigma_l=data["sigma_l"],
-                p=data["p"],
-                T=data["T"],
-                s0=data["s0"],
-            )
+            return cls(**{f.name: data[f.name] for f in fields(cls)})
         except (KeyError, TypeError) as exc:
             raise ValueError(f"model JSON needs keys mu, sigma_h, sigma_l, p, T, s0: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "sigma_h": self.sigma_h,
-            "sigma_l": self.sigma_l,
-            "p": self.p,
-            "T": self.T,
-            "s0": self.s0,
-        }
+        return asdict(self)
 
 
 DEFAULT_MODEL = RegimeSwitchModel(mu=0.05, sigma_h=0.3, sigma_l=0.15, p=0.5, T=1.0, s0=1.0)
@@ -194,32 +180,53 @@ def _mixture_log_quantile(
 ) -> np.ndarray:
     """log of the u-quantile of p * LogN(m_h, s_h^2) + (1-p) * LogN(m_l, s_l^2).
 
-    Bisects in log-value space between the two component quantiles, testing
-    the cdf on the lower half and the survival function against the exact
-    complement uc on the upper half.  Deep in either tail the component
-    *split* level is not representable in floats, so root-finding on the
-    split would silently saturate; the value-space formulation stays
-    conditioned all the way to the representable edge of (0, 1).  A level
-    whose u rounds to 1 is still inside (0, 1) while uc > 0.
+    Safeguarded Newton in log-value space inside the bracket of the two
+    component quantiles, on log F(y) = log u on the lower half and on
+    log S(y) = log uc, with the exact complement uc, on the upper half: the
+    slopes f/F and -f/S stay well scaled in the Gaussian tails, where the
+    plain cdf flattens.  Each element starts at the bracket end deeper in
+    the tail.  The residual's sign shrinks the bracket, and a Newton point
+    outside it falls back to the midpoint.  An element freezes once its
+    step or its bracket is below 1e-14 max(1, |y|) and takes that last step
+    on return; the bracket test ends flat stretches where residual noise
+    over the slope exceeds the step tolerance.  Root-finding on the
+    component *split* level would instead saturate deep in either tail,
+    where the split is not representable in floats.  A level whose u rounds
+    to 1 is still inside (0, 1) while uc > 0.
     """
     if np.any(u <= 0.0) or np.any(uc <= 0.0):
         raise BracketError("quantile level outside (0, 1)")
     lower_half = u <= 0.5
-    z = np.where(lower_half, ndtri(u), -ndtri(uc))
-    y_h = m_h + s_h * z
-    y_l = m_l + s_l * z
-    lo = np.minimum(y_h, y_l)
-    hi = np.maximum(y_h, y_l)
-    for _ in range(_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        z_h = (mid - m_h) / s_h
-        z_l = (mid - m_l) / s_l
-        cdf = p * ndtr(z_h) + (1.0 - p) * ndtr(z_l)
-        sf = p * ndtr(-z_h) + (1.0 - p) * ndtr(-z_l)
-        go_right = np.where(lower_half, cdf < u, sf > uc)
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    return 0.5 * (lo + hi)
+    level = np.where(lower_half, u, uc)
+    side = np.where(lower_half, 1.0, -1.0)
+    m, s = np.array([[m_h], [m_l]]), np.array([[s_h], [s_l]])
+    goal = np.log(level)
+    ends = m + s * (side * ndtri(level))
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    y = np.where(lower_half, lo, hi)
+    log_w = np.log([[p], [1.0 - p]])
+    log_wd = log_w - np.log(s * math.sqrt(2.0 * math.pi))
+    frozen = np.zeros_like(lower_half)
+    # far-apart components can underflow both densities: inf or nan steps bisect
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ROOT_ITER):
+            z = (y - m) / s
+            tails = log_w + log_ndtr(side * z)
+            log_tail = np.logaddexp(tails[0], tails[1])
+            hazard = np.exp(log_wd - 0.5 * z * z - log_tail)
+            r = log_tail - goal
+            step = side * r / (hazard[0] + hazard[1])
+            tol = 1e-14 * np.maximum(1.0, np.abs(y))
+            frozen |= (np.abs(step) <= tol) | (hi - lo <= tol)
+            if frozen.all():
+                break
+            right = side * r < 0.0
+            lo, hi = np.where(right, y, lo), np.where(right, hi, y)
+            nxt = y - step
+            # hold frozen elements: at the root r can be -0.0, whose step lands
+            # on hi and would fall back to the midpoint
+            y = np.where(frozen, y, np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi)))
+    return np.where(frozen, y - step, y)
 
 
 def _stock_quantile_array(model: RegimeSwitchModel, u: np.ndarray, uc: np.ndarray) -> np.ndarray:
@@ -375,21 +382,16 @@ def _pairing_price(
     """
     t, weight = _gauss_nodes(nodes)
     rt = math.sqrt(model.T)
-    value = 0.0
-    for mass, c, theta in (
-        (q, q / model.p, model.theta_h),
-        (1.0 - q, (1.0 - q) / (1.0 - model.p), model.theta_l),
-    ):
+    log_x = []
+    for c, theta in ((q / model.p, model.theta_h), ((1.0 - q) / (1.0 - model.p), model.theta_l)):
         w = rt * (t - theta * rt)
-        z_h, z_l = _kernel_scores(model, q, math.log(c) - theta * w - theta**2 * model.T / 2)
-        sf = model.p * ndtr(-z_h) + (1.0 - model.p) * ndtr(-z_l)
-        cdf = model.p * ndtr(z_h) + (1.0 - model.p) * ndtr(z_l)
-        score = np.where(
-            sf < 0.5,
-            ndtri(np.maximum(sf, _CLIP_LO)),
-            -ndtri(np.maximum(cdf, _CLIP_LO)),
-        )
-        value += mass * float(np.dot(weight, target.quantile_from_score(score)))
+        log_x.append(math.log(c) - theta * w - theta**2 * model.T / 2)
+    z_h, z_l = _kernel_scores(model, q, np.concatenate(log_x))
+    sf = model.p * ndtr(-z_h) + (1.0 - model.p) * ndtr(-z_l)
+    cdf = model.p * ndtr(z_h) + (1.0 - model.p) * ndtr(z_l)
+    score = np.where(sf < 0.5, ndtri(np.maximum(sf, _CLIP_LO)), -ndtri(np.maximum(cdf, _CLIP_LO)))
+    g_h, g_l = target.quantile_from_score(score).reshape(2, -1)
+    value = q * float(np.dot(weight, g_h)) + (1.0 - q) * float(np.dot(weight, g_l))
     if not math.isfinite(value):
         raise NumericalError("cost integral diverged; target tail too heavy")
     return value

@@ -445,6 +445,14 @@ def test_state_count_caps():
             solve_problem(market, dist, problem)
 
 
+def test_mixed_exact_and_float_law_warns_and_prices_in_floats():
+    assert maximin_cost(CANON, DiscreteDistribution((F(1), F(2), F(3)))).value == F(9, 5)
+    with pytest.warns(UserWarning, match=r"entry 2 is float 3\.0"):
+        res = maximin_cost(CANON, DiscreteDistribution((F(1), F(2), 3.0)))
+    assert isinstance(res.value, float)
+    assert res.value == pytest.approx(1.8, abs=1e-12)
+
+
 def test_shape_mismatch_between_market_and_distribution():
     with pytest.raises(DimensionMismatchError):
         maximin_cost(CANON, DiscreteDistribution((1, 2)))

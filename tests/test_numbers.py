@@ -58,9 +58,17 @@ def test_exactness_predicates():
 
 def test_normalize_values_demotes_mixed_input():
     assert normalize_values(("1/2", 2)) == (F(1, 2), F(2))
-    mixed = normalize_values((F(1, 2), 0.5, 3))
+    with pytest.warns(UserWarning, match=r"entry 1 is float 0\.5"):
+        mixed = normalize_values((F(1, 2), 0.5, 3))
     assert mixed == (0.5, 0.5, 3.0)
     assert all(isinstance(v, float) for v in mixed)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_normalize_values_warns_for_fraction_or_string_not_int():
+    assert normalize_values((1, 2.5, 3)) == (1.0, 2.5, 3.0)
+    with pytest.raises(UserWarning, match=r"entry 2 is float 3\.0"):
+        normalize_values(("1", 2, 3.0))
 
 
 def test_format_number():

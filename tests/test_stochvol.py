@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import lognorm
 
+from effico import stochvol
 from effico.stochvol import (
     DEFAULT_MODEL,
     LogNormal,
@@ -292,6 +293,69 @@ def test_vector_path_past_unit_rounding():
         )
         sf = MODEL.p * ndtr(-z_h) + (1 - MODEL.p) * ndtr(-z_l)
         assert sf == pytest.approx(ndtr(-ti), rel=1e-9)
+
+
+def _stock_log_quantile_bisection(m: RegimeSwitchModel, t: np.ndarray) -> np.ndarray:
+    """200-step bisection between the component quantiles at level Phi(t).
+
+    Tests the cdf for t <= 0 and the survival function for t > 0, each
+    against ndtr of the score, so neither tail cancels.
+    """
+    rt = math.sqrt(m.T)
+    base = math.log(m.s0) + m.mu * m.T
+    m_h, s_h = base - m.sigma_h**2 * m.T / 2, m.sigma_h * rt
+    m_l, s_l = base - m.sigma_l**2 * m.T / 2, m.sigma_l * rt
+    lower = t <= 0
+    level = ndtr(-np.abs(t))
+    lo = np.minimum(m_h + s_h * t, m_l + s_l * t)
+    hi = np.maximum(m_h + s_h * t, m_l + s_l * t)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        z_h, z_l = (mid - m_h) / s_h, (mid - m_l) / s_l
+        cdf = m.p * ndtr(z_h) + (1 - m.p) * ndtr(z_l)
+        sf = m.p * ndtr(-z_h) + (1 - m.p) * ndtr(-z_l)
+        right = np.where(lower, cdf < level, sf > level)
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_random_models_stock_quantile_newton(monkeypatch):
+    # the Newton loop evaluates log_ndtr once per iteration; count the calls
+    calls = []
+
+    def counted_log_ndtr(x):
+        calls.append(1)
+        return log_ndtr(x)
+
+    monkeypatch.setattr(stochvol, "log_ndtr", counted_log_ndtr)
+    rng = np.random.default_rng(20261018)
+    # |t| > 8.3 reaches levels where ndtr(t) rounds to 1
+    t = np.concatenate([np.linspace(-37.0, 37.0, 149), rng.uniform(-37.0, 37.0, 150)])
+    t.sort()
+    for _ in range(60):
+        sigma_l = rng.uniform(0.05, 0.6)
+        m = RegimeSwitchModel(
+            mu=rng.uniform(0.01, 0.2),
+            sigma_h=sigma_l * rng.uniform(1.0, 8.0),
+            sigma_l=sigma_l,
+            p=rng.uniform(0.01, 0.99),
+            T=rng.uniform(0.1, 5.0),
+            s0=rng.uniform(0.5, 2.0),
+        )
+        calls.clear()
+        y = np.log(MixtureStock(m).quantile_from_score(t))
+        assert len(calls) <= 16
+        ref = _stock_log_quantile_bisection(m, t)
+        assert y == pytest.approx(ref, rel=1e-13, abs=1e-13)
+        assert np.all(np.diff(y) > 0)
+
+
+def test_stock_law_cost_regression():
+    res = distribution_superhedge_cost(MODEL, MixtureStock(MODEL))
+    assert res.value == pytest.approx(0.9877217198334862, rel=0, abs=1e-14)
+    assert res.q_star == pytest.approx(0.504877570199794, rel=0, abs=1e-8)
 
 
 # ----------------------------------------------------------- floor price
