@@ -1,4 +1,4 @@
-"""Number handling shared by all modules.
+"""Number handling, and the problem and suite names, shared by all modules.
 
 Inputs are either exact (int, Fraction, or strings like "3/4" and "1.5")
 or binary64 floats.  Containers normalize to all-Fraction when every entry
@@ -9,10 +9,23 @@ from __future__ import annotations
 
 import math
 import warnings
+from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Num = Union[int, float, Fraction]
+
+
+# Defined here, at the bottom of the import graph, so the CLI parser lists
+# them without loading solver code; efficiency re-exports Problem.
+class Problem(Enum):
+    MAXIMIN = "maximin"
+    MINIMAX = "minimax"
+    CONVEXIFIED_MAXIMIN = "convexified_maximin"
+    CONVEXIFIED_MINIMAX = "convexified_minimax"
+
+
+SUITE_NAMES = ("market", "distribution", "lp", "efficiency", "utility", "stochvol")
 
 
 def parse_number(value) -> Num:
@@ -47,6 +60,8 @@ def normalize_values(values: Iterable) -> tuple[Num, ...]:
 
     A UserWarning names the first float when it demotes a Fraction or string.
     """
+    if isinstance(values, str):
+        raise TypeError(f"expected a sequence of numbers, got the string {values!r}")
     values = tuple(values)
     parsed = [parse_number(v) for v in values]
     if all(isinstance(p, Fraction) for p in parsed):

@@ -13,22 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-from ._numbers import format_number, parse_number
-from .distribution import DiscreteDistribution
-from .efficiency import (
-    Problem,
-    ThreeStateTarget,
-    attainable_cost_efficient_payoffs,
-    is_perfectly_cost_efficient,
-    solve_problem,
-    three_state_closed_form,
-)
+from ._numbers import SUITE_NAMES, Problem, format_number, parse_number
 from .errors import BracketError, InfeasibleError, NumericalError, TooManyStatesError
-from .market import DiscreteMarket
-from .verify import available_suites, run_suites
 
-# stochvol and utility import numpy and scipy, so only the handlers that use
-# them import them: three-state and solve run on Fraction code alone.
+# Each handler imports what it runs, so a command compiles only its own
+# modules: utility loads no exact solver, and three-state and solve no numpy.
 __all__ = ["main"]
 
 _PROBLEM_NAMES = [p.value.replace("_", "-") for p in Problem]
@@ -66,6 +55,13 @@ def _load_model(path: str | None):
 
 
 def _run_three_state(args) -> int:
+    from .efficiency import (
+        ThreeStateTarget,
+        attainable_cost_efficient_payoffs,
+        is_perfectly_cost_efficient,
+        three_state_closed_form,
+    )
+
     target = ThreeStateTarget(
         parse_number(args.x), parse_number(args.y), parse_number(args.z)
     )
@@ -93,6 +89,10 @@ def _run_three_state(args) -> int:
 
 
 def _run_solve(args) -> int:
+    from .distribution import DiscreteDistribution
+    from .efficiency import solve_problem
+    from .market import DiscreteMarket
+
     market = DiscreteMarket.from_dict(_load_json(args.market))
     dist = DiscreteDistribution.from_dict(_load_json(args.dist))
     problems = list(Problem) if args.all else [_problem_from_flag(args.problem)]
@@ -163,6 +163,8 @@ def _run_gap(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from .verify import run_suites
+
     names = None if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     failed = 0
@@ -232,9 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gap.set_defaults(func=_run_gap)
 
     ver = sub.add_parser("verify", help="run the built-in oracle suites")
-    ver.add_argument(
-        "--suite", default="all", choices=["all", *available_suites()]
-    )
+    ver.add_argument("--suite", default="all", choices=["all", *SUITE_NAMES])
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(func=_run_verify)
     return parser

@@ -51,10 +51,9 @@ class DiscreteDistribution:
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteDistribution":
         try:
-            values = data["values"]
+            return cls(data["values"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"distribution JSON needs key 'values': {exc}") from exc
-        return cls(tuple(values))
 
     def to_dict(self, decimal: bool = False) -> dict:
         return {"values": [format_number(v, decimal) for v in self.values]}

@@ -17,13 +17,12 @@ enough to enumerate and agree with the closed forms on the canonical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from ._numbers import Num, all_exact, average_dot, format_number, is_exact, parse_number
+from ._numbers import Num, Problem, all_exact, average_dot, format_number, is_exact, parse_number
 from .distribution import DiscreteDistribution
 from .errors import DimensionMismatchError, NumericalError, TooManyStatesError
 from .lp import LpBuilder, add_top_k_sum_bound, solve_lp
@@ -66,13 +65,6 @@ _GENERIC_MAX_STATES = 7
 _FIFTH = Fraction(1, 5)
 _QUARTER = Fraction(1, 4)
 _THIRD = Fraction(1, 3)
-
-
-class Problem(Enum):
-    MAXIMIN = "maximin"
-    MINIMAX = "minimax"
-    CONVEXIFIED_MAXIMIN = "convexified_maximin"
-    CONVEXIFIED_MINIMAX = "convexified_minimax"
 
 
 @dataclass(frozen=True)
@@ -129,6 +121,16 @@ def _as_target(obj) -> ThreeStateTarget:
     return ThreeStateTarget(*vals)
 
 
+def _even_points(lo: Num, hi: Num, count: int) -> list[Num]:
+    """count evenly spaced points from lo to hi, exact when the span is exact."""
+    if count < 2:
+        raise ValueError(f"count must be at least 2 to sample a range, got {count}")
+    span = hi - lo
+    if is_exact(span):
+        return [lo + span * Fraction(i, count - 1) for i in range(count)]
+    return [lo + span * i / (count - 1) for i in range(count)]
+
+
 @dataclass(frozen=True, slots=True)
 class PayoffSet:
     """A payoff point, or the segment base + t * step for t in t_range."""
@@ -151,13 +153,7 @@ class PayoffSet:
         """Representative payoffs: the point itself, or count points per segment."""
         if not self.is_segment:
             return [self.base]
-        t0, t1 = self.t_range
-        span = t1 - t0
-        if is_exact(span):
-            ts = [t0 + span * Fraction(i, count - 1) for i in range(count)]
-        else:
-            ts = [t0 + span * i / (count - 1) for i in range(count)]
-        return [self.at(t) for t in ts]
+        return [self.at(t) for t in _even_points(*self.t_range, count)]
 
     def contains(self, payoff: Sequence[Num], tol: float = _MATCH_TOL) -> bool:
         vec = tuple(parse_number(v) for v in payoff)
@@ -194,11 +190,7 @@ class KernelSet:
     def sample_u(self, count: int = 5) -> list[Num]:
         if self.u_range is None:
             return [] if self.u is None else [self.u]
-        lo, hi = self.u_range
-        span = hi - lo
-        if is_exact(span):
-            return [lo + span * Fraction(i, count - 1) for i in range(count)]
-        return [lo + span * i / (count - 1) for i in range(count)]
+        return _even_points(*self.u_range, count)
 
 
 @dataclass(frozen=True, slots=True)

@@ -97,12 +97,9 @@ class DiscreteMarket:
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteMarket":
         try:
-            n = int(data["n"])
-            s0 = data["s0"]
-            sT = data["sT"]
+            return cls(int(data["n"]), data["s0"], data["sT"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"market JSON needs keys n, s0, sT: {exc}") from exc
-        return cls(n, tuple(s0), tuple(tuple(row) for row in sT))
 
     def to_dict(self, decimal: bool = False) -> dict:
         return {

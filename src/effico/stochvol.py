@@ -439,8 +439,10 @@ def distribution_superhedge_cost(
     """sup over q of floor_price: the cost of the cheapest superhedge of a law.
 
     floor_price is concave in q, because the kernel is affine in q, so
-    golden-section search over [1e-7, 1 - 1e-7] finds the maximizer to
-    within 1e-8.  A RuntimeWarning flags maximizers within 1e-6 of the
+    golden-section search over [1e-7, 1 - 1e-7] shrinks a bracket on the
+    maximizer to width 1e-8.  Near a flat top, rounding in g = floor_price
+    fixes q* only to about sqrt(eps / |g''|), while the cost g(q*) is fixed
+    to rounding.  A RuntimeWarning flags maximizers within 1e-6 of the
     endpoints, where the kernel family degenerates.
     """
     if isinstance(target, PointMass):

@@ -18,10 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from ._numbers import Num, normalize_values
-from .distribution import DiscreteDistribution, is_convex_dominated
-from .efficiency import convexified_minimax_cost, maximin_cost, minimax_cost
 from .errors import BracketError, InfeasibleError, NumericalError
-from .market import DiscreteMarket
 
 __all__ = [
     "LogUtility",
@@ -381,6 +378,11 @@ def cost_efficiency_check(payoff: Sequence[Num]) -> EfficiencyReport:
     Ties among payoff values are allowed; constant payoffs are trivially
     efficient.  Exact (rational) inputs produce exact outputs.
     """
+    # the exact solvers load here, so optimal_wealth compiles none of them
+    from .distribution import DiscreteDistribution, is_convex_dominated
+    from .efficiency import convexified_minimax_cost, maximin_cost, minimax_cost
+    from .market import DiscreteMarket
+
     values = normalize_values(payoff)
     if len(values) != 3:
         raise ValueError("the efficiency check expects a 3-state payoff")

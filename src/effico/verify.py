@@ -12,25 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .distribution import (
-    DiscreteDistribution,
-    cost_efficient_payoff,
-    distributional_transform,
-    in_permutation_hull,
-    is_convex_dominated,
-)
-from .efficiency import (
-    Problem,
-    ThreeStateTarget,
-    kkm_diagnostics,
-    solve_problem,
-    three_state_closed_form,
-)
-from .lp import LpBuilder, solve_lp
-from .market import DiscreteMarket, ParametricFamily, kernel_family, price, superhedge_cost
+from ._numbers import SUITE_NAMES, Problem
 
-# numpy, scipy, stochvol and utility load inside the suites that use them, so
-# building the CLI parser from available_suites() stays numpy-free.
+# Each suite imports the modules it checks (numpy, scipy, stochvol and utility
+# included), so loading verify, or listing its suites, compiles no solver.
 __all__ = ["CheckResult", "available_suites", "run_suites"]
 
 _F = Fraction
@@ -53,6 +38,8 @@ def _require(cond: bool, detail: str = "") -> None:
 
 
 def _market_checks(seed: int):
+    from .market import DiscreteMarket, ParametricFamily, kernel_family, price, superhedge_cost
+
     def kernels():
         fam = kernel_family(DiscreteMarket.canonical_three_state())
         _require(isinstance(fam, ParametricFamily), "expected a one-parameter family")
@@ -85,6 +72,15 @@ def _market_checks(seed: int):
 
 
 def _distribution_checks(seed: int):
+    from .distribution import (
+        DiscreteDistribution,
+        cost_efficient_payoff,
+        distributional_transform,
+        in_permutation_hull,
+        is_convex_dominated,
+    )
+    from .market import price
+
     def quantiles():
         dist = DiscreteDistribution((1, 2, 4))
         _require(dist.quantile(_F(1, 3)) == 1 and dist.quantile(1) == 4)
@@ -118,6 +114,8 @@ def _distribution_checks(seed: int):
 
 
 def _lp_checks(seed: int):
+    from .lp import LpBuilder, solve_lp
+
     def corner():
         # min b subject to 1<=a, b<=5, 3<=a+b<=7, a+5b>=16: optimum 9/4 at (19/4, 9/4)
         b = LpBuilder()
@@ -146,6 +144,9 @@ def _lp_checks(seed: int):
 
 
 def _efficiency_checks(seed: int):
+    from .efficiency import ThreeStateTarget, kkm_diagnostics, solve_problem, three_state_closed_form
+    from .market import DiscreteMarket
+
     market = DiscreteMarket.canonical_three_state()
 
     def gap_example():
@@ -253,12 +254,7 @@ def _stochvol_checks(seed: int):
 
 
 _SUITES: dict[str, Callable[[int], list]] = {
-    "market": _market_checks,
-    "distribution": _distribution_checks,
-    "lp": _lp_checks,
-    "efficiency": _efficiency_checks,
-    "utility": _utility_checks,
-    "stochvol": _stochvol_checks,
+    name: globals()[f"_{name}_checks"] for name in SUITE_NAMES
 }
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from effico.cli import main
+import effico
+from effico import efficiency
+from effico.cli import _build_parser, main
 from effico.errors import NumericalError
 from effico.stochvol import DEFAULT_MODEL, variance_cost_curve, curve_to_csv
+from effico.verify import available_suites
 
 
 def run(capsys, *argv):
@@ -153,6 +157,29 @@ def test_solve_mismatched_sizes(capsys, tmp_path, market_files):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "which, data",
+    [
+        ("dist", {"values": [1, None, 3]}),
+        ("dist", {"values": [True, 2, 3]}),
+        ("dist", {"values": "257"}),
+        ("market", {"n": 3, "s0": ["2"], "sT": [["4", {"a": 1}, "1"]]}),
+        ("market", {"n": 3, "s0": ["2"], "sT": ["421"]}),
+        ("market", {"n": 3, "s0": 2, "sT": [[4, 2, 1]]}),
+    ],
+)
+def test_solve_malformed_json_exits_two(capsys, tmp_path, market_files, which, data):
+    files = dict(zip(("market", "dist"), market_files))
+    files[which] = str(tmp_path / "bad.json")
+    Path(files[which]).write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(
+        capsys, "solve", "--market", files["market"], "--dist", files["dist"], "--all"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --------------------------------------------------------------- utility
@@ -345,3 +372,56 @@ def test_fraction_commands_import_no_numpy(market_files):
     assert data["missing"] == []
     assert data["unbound"] == []
     assert data["all"] == PUBLIC_NAMES
+
+
+def _effico_imports(*argv):
+    """effico modules that a fresh ``python -m effico.cli`` run imports.
+
+    ``-X importtime`` lists every module as it is imported.  ``-m`` runs
+    effico.cli itself as ``__main__``, so it is not among them.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "effico.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return {n for n in names if n.split(".")[0] == "effico"}
+
+
+def test_utility_command_loads_no_solver():
+    assert _effico_imports("utility", "--kind", "log", "--x0", "2") == {
+        "effico", "effico._numbers", "effico.errors", "effico.utility",
+    }
+
+
+def test_exact_commands_load_no_verify(market_files):
+    market, dist = market_files
+    three = _effico_imports("three-state", "--x", "1", "--y", "2", "--z", "3", "--all")
+    solve = _effico_imports("solve", "--market", market, "--dist", dist, "--all")
+    for loaded in (three, solve):
+        assert "effico.efficiency" in loaded
+        assert "effico.verify" not in loaded
+        assert "effico.stochvol" not in loaded
+
+
+def test_parser_choices_come_from_problem_and_suites():
+    sub = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+
+    def choices(command, option):
+        return next(
+            a.choices for a in sub.choices[command]._actions if option in a.option_strings
+        )
+
+    names = [p.value.replace("_", "-") for p in efficiency.Problem]
+    assert choices("three-state", "--problem") == names
+    assert choices("solve", "--problem") == names
+    assert choices("verify", "--suite") == ["all", *available_suites()]
+    assert effico.Problem is efficiency.Problem

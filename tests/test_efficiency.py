@@ -185,6 +185,23 @@ def _assert_matching_solutions(a, b):
                     assert dst.contains(payoff, u=u)
 
 
+def test_sampling_a_range_needs_two_points():
+    segment = PayoffSet((F(1), F(2), F(3)), (F(1), F(0), F(-1)), (F(0), F(1)))
+    kernels = KernelSet(u_range=(F(1, 5), F(1, 4)))
+    for count in (1, 0, -2):
+        with pytest.raises(ValueError, match="count"):
+            segment.sample(count)
+        with pytest.raises(ValueError, match="count"):
+            kernels.sample_u(count)
+    assert segment.sample(2) == [(F(1), F(2), F(3)), (F(2), F(2), F(2))]
+    assert kernels.sample_u(3) == [F(1, 5), F(9, 40), F(1, 4)]
+    floats = PayoffSet((1.0, 2.0, 3.0), (1.0, 0.0, -1.0), (0.0, 1.0))
+    assert floats.sample(3) == [(1.0, 2.0, 3.0), (1.5, 2.0, 2.5), (2.0, 2.0, 2.0)]
+    point = PayoffSet((F(1), F(2), F(3)))
+    assert point.sample(1) == point.sample(0) == [point.base]
+    assert KernelSet(u=F(1, 5)).sample_u(1) == [F(1, 5)]
+
+
 GENERIC_TRIPLES = [
     (F(1), F(2), F(3)),
     (F(1), F(2), F(4)),

@@ -71,6 +71,11 @@ def test_normalize_values_warns_for_fraction_or_string_not_int():
         normalize_values(("1", 2, 3.0))
 
 
+def test_normalize_values_rejects_a_string():
+    with pytest.raises(TypeError, match="string '257'"):
+        normalize_values("257")
+
+
 def test_format_number():
     assert format_number(F(9, 5)) == "9/5"
     assert format_number(F(2)) == "2"
