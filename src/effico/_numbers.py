@@ -37,7 +37,10 @@ def parse_number(value) -> Num:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite value {value!r}")

@@ -367,22 +367,29 @@ def _check_shapes(market: DiscreteMarket, dist: DiscreteDistribution) -> None:
         )
 
 
-def _minimizing_payoffs(weights, values, exact: bool):
-    """Min price over payoffs with the given value multiset, with all argmins.
-
-    The minimum pairs large weights with small values.  Every distinct
-    minimizing arrangement is returned: within blocks of (near-)equal
-    weights the assigned values may be permuted freely.
-    """
-    n = len(weights)
+def _weight_blocks(weights, exact: bool) -> list[list[int]]:
+    """State indices by decreasing weight, in blocks of (near-)equal weights."""
     tol = 0 if exact else 1e-9 * max(1.0, max(abs(float(w)) for w in weights))
-    order = sorted(range(n), key=lambda i: (-float(weights[i]), i))
+    order = sorted(range(len(weights)), key=lambda i: (-float(weights[i]), i))
     blocks: list[list[int]] = [[order[0]]]
     for prev, cur in zip(order, order[1:]):
         if abs(weights[prev] - weights[cur]) <= tol:
             blocks[-1].append(cur)
         else:
             blocks.append([cur])
+    return blocks
+
+
+def _minimizing_payoffs(weights, values, exact: bool, blocks=None):
+    """Min price over payoffs with the given value multiset, with all argmins.
+
+    The minimum pairs large weights with small values.  Every distinct
+    minimizing arrangement is returned: within blocks of (near-)equal
+    weights the assigned values may be permuted freely.  ``blocks`` is
+    ``_weight_blocks(weights, exact)``, if the caller keeps it.
+    """
+    n = len(weights)
+    blocks = blocks or _weight_blocks(weights, exact)
     sorted_vals = sorted(values)
     pos = 0
     block_slices: list[tuple[list[int], tuple]] = []
@@ -473,60 +480,85 @@ def _pair_segments(vectors, kernel: KernelSet):
     return segments, leftovers
 
 
-def _kernel_set_for(kernel: PricingKernel) -> KernelSet:
-    return KernelSet(weights=kernel.weights, u=kernel.u, boundary=kernel.is_boundary)
+def _once(obj, key: str, build):
+    """``build()``, kept on ``obj`` as a cached_property would be, so it runs once per object."""
+    memo = vars(obj)
+    return memo[key] if key in memo else memo.setdefault(key, build())
 
 
-def _parametric_breakpoints(fam: ParametricFamily, exact: bool) -> list[Num]:
-    points = [fam.u_min, fam.u_max]
-    n = fam.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            dd = fam.direction[i] - fam.direction[j]
-            if dd == 0:
-                continue
-            u = (fam.base[j] - fam.base[i]) / dd
-            if fam.u_min < u < fam.u_max:
-                points.append(u)
-    points.sort()
-    merged = [points[0]]
-    tol = 0 if exact else 1e-12
-    for u in points[1:]:
-        if u - merged[-1] > tol:
-            merged.append(u)
-    return merged
+def _kernel_set_for(k: PricingKernel) -> KernelSet:
+    return _once(k, "_kernel_set", lambda: KernelSet(k.weights, k.u, boundary=k.is_boundary))
+
+
+def _attaining_kernel_sets(fam: KernelFamily, res) -> list[KernelSet]:
+    """One KernelSet per kernel attaining a superhedge, or the family's whole u-range."""
+    if res.u_range is None:
+        return [_kernel_set_for(k) for k in res.kernels]
+    kset = _once(
+        fam, "_u_range_set", lambda: KernelSet(u_range=res.u_range, boundary=res.any_boundary)
+    )
+    return [kset]
+
+
+def _breakpoints(fam: ParametricFamily, exact: bool):
+    """Where two weights cross, with the kernels there and their tie blocks.
+
+    Built once per family object and flag, so every law solved on the
+    family shares the kernels; float laws merge points within 1e-12.  The
+    last item holds the KernelSets of u-ranges between breakpoints.
+    """
+
+    def build():
+        points = [fam.u_min, fam.u_max]
+        for i in range(fam.n):
+            for j in range(i + 1, fam.n):
+                dd = fam.direction[i] - fam.direction[j]
+                if dd != 0:
+                    u = (fam.base[j] - fam.base[i]) / dd
+                    if fam.u_min < u < fam.u_max:
+                        points.append(u)
+        points.sort()
+        bps = [points[0]]
+        tol = 0 if exact else 1e-12
+        for u in points[1:]:
+            if u - bps[-1] > tol:
+                bps.append(u)
+        kernels = [fam.kernel_at(u) for u in bps]
+        return bps, kernels, [_weight_blocks(k.weights, exact) for k in kernels], {}
+
+    return _once(fam, f"_breakpoints_{exact}", build)
 
 
 def _maximin_parametric(fam: ParametricFamily, dist, exact, convexified):
-    bps = _parametric_breakpoints(fam, exact)
-    kernels = [fam.kernel_at(u) for u in bps]
-    evals = [_minimizing_payoffs(k.weights, dist.values, exact) for k in kernels]
+    bps, kernels, blocks, range_sets = _breakpoints(fam, exact)
+    evals = [_minimizing_payoffs(k.weights, dist.values, exact, b) for k, b in zip(kernels, blocks)]
     value = max(mp for mp, _ in evals)
     tol = 0 if exact else _VALUE_TOL * max(1.0, abs(float(value)))
     attain = [abs(mp - value) <= tol for mp, _ in evals]
 
-    # payoffs optimal across a whole flat stretch of breakpoints
-    flat: dict[tuple, list[tuple[Num, Num]]] = {}
+    # payoffs optimal across a whole flat stretch of breakpoints, as index spans
+    flat: dict[tuple, list[tuple[int, int]]] = {}
     for i in range(len(bps) - 1):
         if attain[i] and attain[i + 1]:
             shared = set(evals[i][1]) & set(evals[i + 1][1])
             for vec in shared:
                 spans = flat.setdefault(vec, [])
-                if spans and spans[-1][1] == bps[i]:
-                    spans[-1] = (spans[-1][0], bps[i + 1])
+                if spans and spans[-1][1] == i:
+                    spans[-1] = (spans[-1][0], i + 1)
                 else:
-                    spans.append((bps[i], bps[i + 1]))
+                    spans.append((i, i + 1))
 
     opts: list[Optimizer] = []
     for vec in sorted(flat, reverse=True):
         for lo, hi in flat[vec]:
-            boundary = kernels[bps.index(lo)].is_boundary or kernels[bps.index(hi)].is_boundary
-            opts.append(Optimizer(_point(vec), KernelSet(u_range=(lo, hi), boundary=boundary)))
+            boundary = kernels[lo].is_boundary or kernels[hi].is_boundary
+            kset = KernelSet(u_range=(bps[lo], bps[hi]), boundary=boundary)
+            opts.append(Optimizer(_point(vec), range_sets.setdefault((lo, hi), kset)))
 
-    def _flat_covers(vec, u) -> bool:
-        return any(lo <= u <= hi for lo, hi in flat.get(vec, ()))
+    def _flat_covers(vec, i) -> bool:
+        return any(lo <= i <= hi for lo, hi in flat.get(vec, ()))
 
-    for i, u in enumerate(bps):
+    for i in range(len(bps)):
         if not attain[i]:
             continue
         vectors = evals[i][1]
@@ -535,11 +567,11 @@ def _maximin_parametric(fam: ParametricFamily, dist, exact, convexified):
             segments, leftovers = _pair_segments(vectors, kset)
             opts.extend(segments)
             for vec in leftovers:
-                if not _flat_covers(vec, u):
+                if not _flat_covers(vec, i):
                     opts.append(Optimizer(_point(vec), kset))
         else:
             for vec in vectors:
-                if not _flat_covers(vec, u):
+                if not _flat_covers(vec, i):
                     opts.append(Optimizer(_point(vec), kset))
     return value, opts
 
@@ -699,15 +731,8 @@ def minimax_cost(market: DiscreteMarket, dist) -> SolutionSet:
     tol = 0 if exact else _VALUE_TOL * max(1.0, abs(float(value)))
     opts: list[Optimizer] = []
     for vec, res in results:
-        if abs(res.value - value) > tol:
-            continue
-        if res.u_range is not None:
-            opts.append(
-                Optimizer(_point(vec), KernelSet(u_range=res.u_range, boundary=res.any_boundary))
-            )
-        else:
-            for k in res.kernels:
-                opts.append(Optimizer(_point(vec), _kernel_set_for(k)))
+        if abs(res.value - value) <= tol:
+            opts.extend(Optimizer(_point(vec), kset) for kset in _attaining_kernel_sets(fam, res))
     return SolutionSet(Problem.MINIMAX, value, tuple(opts))
 
 
@@ -743,11 +768,7 @@ def convexified_minimax_cost(market: DiscreteMarket, dist) -> SolutionSet:
         raise NumericalError(f"convexified minimax LP ended with status {sol.status}")
     z_star = tuple(sol.x[i] for i in zs)
     res = superhedge_cost(fam, z_star)
-    if res.u_range is not None:
-        kset = KernelSet(u_range=res.u_range, boundary=res.any_boundary)
-        opts = [Optimizer(_point(z_star), kset)]
-    else:
-        opts = [Optimizer(_point(z_star), _kernel_set_for(k)) for k in res.kernels]
+    opts = [Optimizer(_point(z_star), kset) for kset in _attaining_kernel_sets(fam, res)]
     return SolutionSet(Problem.CONVEXIFIED_MINIMAX, res.value, tuple(opts))
 
 

@@ -10,8 +10,10 @@ shifting, negating, or splitting before the tableau is built.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from ._numbers import Num, parse_number
@@ -27,6 +29,7 @@ __all__ = [
 
 _COST_TOL = 1e-9
 _PIVOT_FLOOR = 1e-13
+_RATIO_FLOOR = 1e-12  # times the entering column's largest magnitude, at least 1
 _FEAS_TOL = 1e-8
 _ACTIVE_TOL = 1e-9
 
@@ -117,16 +120,24 @@ def add_top_k_sum_bound(
 
 
 def _coerce_program(lp: LinearProgram):
-    obj = [parse_number(c) for c in lp.objective]
-    a_ub = [[parse_number(c) for c in row] for row in lp.a_ub]
-    b_ub = [parse_number(b) for b in lp.b_ub]
-    a_eq = [[parse_number(c) for c in row] for row in lp.a_eq]
-    b_eq = [parse_number(b) for b in lp.b_eq]
-    bounds = lp.bounds if lp.bounds is not None else tuple((None, None) for _ in obj)
-    bounds = [
-        (None if lo is None else parse_number(lo), None if hi is None else parse_number(hi))
-        for lo, hi in bounds
-    ]
+    """Each entry converted once: all to Fraction if every one is exact, else all to float."""
+    bounds = lp.bounds if lp.bounds is not None else ((None, None),) * len(lp.objective)
+    entries = [*lp.objective, *chain(*lp.a_ub), *lp.b_ub, *chain(*lp.a_eq), *lp.b_eq]
+    entries += [v for pair in bounds for v in pair if v is not None]
+    kinds = set(map(type, entries))
+    finite = all(math.isfinite(v) for v in entries if type(v) is float)
+    if kinds <= {int, Fraction, float} and finite:
+        exact = float not in kinds
+        conv = (lambda v: Fraction(v) if type(v) is int else v) if exact else float
+    else:  # parse_number parses or rejects anything else, in entry order
+        exact = all([isinstance(parse_number(v), Fraction) for v in entries])
+        conv = parse_number if exact else (lambda v: float(parse_number(v)))
+    obj = [conv(c) for c in lp.objective]
+    a_ub = [[conv(c) for c in row] for row in lp.a_ub]
+    b_ub = [conv(b) for b in lp.b_ub]
+    a_eq = [[conv(c) for c in row] for row in lp.a_eq]
+    b_eq = [conv(b) for b in lp.b_eq]
+    bounds = [tuple(None if v is None else conv(v) for v in pair) for pair in bounds]
     n = len(obj)
     if len(bounds) != n:
         raise DimensionMismatchError("one bound pair per variable required")
@@ -138,23 +149,6 @@ def _coerce_program(lp: LinearProgram):
             raise DimensionMismatchError("a_eq row width must match variable count")
     if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
         raise DimensionMismatchError("constraint matrices and rhs lengths differ")
-
-    pieces = obj + b_ub + b_eq
-    for row in a_ub + a_eq:
-        pieces += row
-    for lo, hi in bounds:
-        pieces += [v for v in (lo, hi) if v is not None]
-    exact = all(isinstance(v, Fraction) for v in pieces)
-    if not exact:
-        obj = [float(v) for v in obj]
-        a_ub = [[float(v) for v in row] for row in a_ub]
-        b_ub = [float(v) for v in b_ub]
-        a_eq = [[float(v) for v in row] for row in a_eq]
-        b_eq = [float(v) for v in b_eq]
-        bounds = [
-            (None if lo is None else float(lo), None if hi is None else float(hi))
-            for lo, hi in bounds
-        ]
     return obj, a_ub, b_ub, a_eq, b_eq, bounds, exact
 
 
@@ -166,7 +160,6 @@ class _Tableau:
         self.rows: list[list[Num]] = []
         self.basis: list[int] = []
         self.cost_tol = 0 if exact else _COST_TOL
-        self.floor = 0 if exact else _PIVOT_FLOOR
 
     def pivot(self, i: int, j: int, cost: list[Num]) -> None:
         """Pivot on (i, j) in place, touching only the pivot row's nonzero columns.
@@ -199,10 +192,12 @@ class _Tableau:
                 return "optimal"
             leave = -1
             best_ratio = None
-            for i, row in enumerate(self.rows):
-                a = row[entering]
-                if a > self.floor:
-                    ratio = row[-1] / a
+            col = [row[entering] for row in self.rows]
+            # scaled to the column, so that no rounding residue of a zero becomes the pivot
+            floor = 0 if self.exact else _RATIO_FLOOR * max(1.0, max(map(abs, col), default=0.0))
+            for i, a in enumerate(col):
+                if a > floor:
+                    ratio = self.rows[i][-1] / a
                     if best_ratio is None or ratio < best_ratio:
                         take = True
                     elif ratio == best_ratio or (

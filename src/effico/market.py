@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence, Union
 
@@ -144,7 +144,7 @@ class ParametricFamily:
     def n(self) -> int:
         return len(self.base)
 
-    @property
+    @cached_property
     def domain(self) -> tuple[Num, Num]:
         return (self.u_min, self.u_max)
 
@@ -159,6 +159,11 @@ class ParametricFamily:
         return PricingKernel(w, u=u)
 
     def endpoint_kernels(self) -> tuple[PricingKernel, PricingKernel]:
+        """The kernels at u_min and u_max, built once per family object."""
+        return self._endpoints
+
+    @cached_property
+    def _endpoints(self) -> tuple[PricingKernel, PricingKernel]:
         return (self.kernel_at(self.u_min), self.kernel_at(self.u_max))
 
 
@@ -348,8 +353,9 @@ def _enumerate_vertices(rows, rhs, n, rank, exact) -> list[tuple[Num, ...]]:
 def kernel_family(market: DiscreteMarket, max_states: int = 12) -> KernelFamily:
     """All pricing kernels of a market, as a point, a segment, or a vertex list.
 
-    Families are cached per market, so the solvers of one law share one
-    enumeration and the results built from it share its kernel weights.
+    Families are cached per market, so all solvers share one enumeration,
+    and results share the family's kernels: its vertices, or the endpoint
+    and breakpoint kernels that a parametric family builds once.
     """
     if market.n > max_states:
         raise TooManyStatesError(
@@ -418,13 +424,13 @@ def superhedge_cost(family: KernelFamily, payoff: Sequence[Num]) -> SuperhedgeRe
             k for k, p in zip(family.vertices, prices) if best - p <= tol
         )
         return SuperhedgeResult(best, attaining)
-    k_lo, k_hi = family.endpoint_kernels()
+    ends = k_lo, k_hi = family.endpoint_kernels()
     p_lo = price(k_lo, payoff)
     p_hi = price(k_hi, payoff)
     exact = all_exact((p_lo, p_hi))
     tol = 0 if exact else _ATTAIN_TOL
     if abs(p_hi - p_lo) <= tol:
-        return SuperhedgeResult(p_lo, (k_lo, k_hi), u_range=(family.u_min, family.u_max))
+        return SuperhedgeResult(p_lo, ends, u_range=family.domain)
     if p_lo > p_hi:
         return SuperhedgeResult(p_lo, (k_lo,))
     return SuperhedgeResult(p_hi, (k_hi,))

@@ -100,6 +100,18 @@ def test_three_state_rejects_unordered_target(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "values", [("1/0", "2", "3"), ("1", "0/0", "3"), ("1", "2", " 3/0 ")]
+)
+def test_three_state_zero_denominator_exits_two(capsys, values):
+    argv = [arg for flag, v in zip(("--x", "--y", "--z"), values) for arg in (flag, v)]
+    code, out, err = run(capsys, "three-state", *argv, "--all")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "zero denominator" in err
+
+
 # ----------------------------------------------------------------- solve
 
 
@@ -168,6 +180,8 @@ def test_solve_mismatched_sizes(capsys, tmp_path, market_files):
         ("market", {"n": 3, "s0": ["2"], "sT": [["4", {"a": 1}, "1"]]}),
         ("market", {"n": 3, "s0": ["2"], "sT": ["421"]}),
         ("market", {"n": 3, "s0": 2, "sT": [[4, 2, 1]]}),
+        ("dist", {"values": ["1/0", 2, 3]}),
+        ("market", {"n": 3, "s0": ["2"], "sT": [["4", "0/0", "1"]]}),
     ],
 )
 def test_solve_malformed_json_exits_two(capsys, tmp_path, market_files, which, data):

@@ -453,6 +453,80 @@ def test_random_vertex_markets_maximin_chain(monkeypatch):
             _assert_maximin_optimizers(mkt, dist, cmx, tol)
 
 
+# Markets whose float LPs carry rounding residues of zeros that a ratio test
+# with an absolute floor takes as pivots: the 6-state market then looks
+# infeasible, and the other two (from a seeded scan) solve to values off by
+# 0.009 and by 3.7.
+FLOAT_LP_CASES = [
+    (
+        ((F(197, 30), F(103, 15), F(221, 30)),
+         ((10, 5, 12, 1, 7, 1), (9, 1, 5, 11, 11, 2), (11, 10, 4, 3, 6, 12))),
+        (-1, -1, F(11, 3), F(19, 3), F(13, 2), F(13, 2)),
+        F(10747, 3420),
+    ),
+    (
+        ((4, F(67, 16)), ((6, 5, 1, 0, 4, 6), (5, 10, 4, 4, 0, 4))),
+        (-4, -3, -1, 1, 2, 5),
+        F(-137, 252),
+    ),
+    (
+        ((F(132, 25), F(173, 25), F(138, 25), F(164, 25)),
+         ((0, 2, 6, 10, 1, 11, 3), (3, 0, 12, 2, 1, 11, 10), (4, 12, 0, 6, 8, 3, 6),
+          (4, 10, 8, 0, 7, 6, 7))),
+        (-5, F(-3, 2), F(5, 3), F(7, 3), 6, 10, 10),
+        F(125951, 107000),
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FLOAT_LP_CASES)))
+def test_float_convexified_minimax_matches_exact(case):
+    (s0, rows), law, want = FLOAT_LP_CASES[case]
+    market = DiscreteMarket(len(law), s0, rows)
+    exact = convexified_minimax_cost(market, law).value
+    assert exact == want
+    assert exact == maximin_cost(market, law).value
+    float_law = tuple(float(v) for v in law)
+    for mkt in (market, _float_copy(market)):
+        assert abs(convexified_minimax_cost(mkt, float_law).value - exact) <= 1e-9
+
+
+def _kernel_sets(sol):
+    return [opt.kernel for opt in sol.optimizers]
+
+
+def test_laws_on_one_family_share_its_kernel_sets():
+    first, second = (
+        [k for k in _kernel_sets(maximin_cost(CANON, law)) if k.u == F(1, 4)]
+        for law in ((1, 2, 5), (0, 1, 4))
+    )
+    assert first and all(k is first[0] for k in first + second)
+    whole = [_kernel_sets(convexified_minimax_cost(CANON, law)) for law in ((1, 2, 5), (0, 1, 4))]
+    assert whole[0][0] is whole[1][0] and whole[0][0].u_range == (F(0), F(1, 3))
+
+
+def test_exact_and_float_markets_never_share_kernels():
+    law = (F(1), F(2), F(5))
+    float_law = tuple(map(float, law))
+    exact = [k for solve in (maximin_cost, minimax_cost) for k in _kernel_sets(solve(CANON, law))]
+    floats = [
+        k for solve in (maximin_cost, minimax_cost)
+        for k in _kernel_sets(solve(_float_copy(CANON), float_law))
+    ]
+    assert all(isinstance(w, Fraction) for k in exact for w in k.weights)
+    assert all(isinstance(w, float) for k in floats for w in k.weights)
+    assert not {id(k) for k in exact} & {id(k) for k in floats}
+
+
+def test_float_law_on_exact_market_reports_fraction_kernels():
+    sol = maximin_cost(CANON, (1.0, 2.0, 5.0))
+    assert isinstance(sol.value, float)
+    assert {repr(k) for k in _kernel_sets(sol)} == {
+        "KernelSet(weights=(Fraction(3, 4), Fraction(3, 4), Fraction(3, 2)), u=Fraction(1, 4), "
+        "u_range=None, boundary=False)"
+    }
+
+
 def test_state_count_caps():
     row = tuple(F(i + 1) for i in range(8))
     market = DiscreteMarket(8, (F(9, 2),), (row,))

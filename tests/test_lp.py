@@ -1,10 +1,14 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from effico import lp as lp_module
+from effico._numbers import parse_number
+from effico.errors import DimensionMismatchError
 from effico.lp import LinearProgram, LpBuilder, _Tableau, add_top_k_sum_bound, solve_lp
 
 F = Fraction
@@ -231,3 +235,120 @@ def test_random_exact_lps_match_highs_and_dense_pivot(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(_Tableau, "pivot", _dense_pivot)
             assert solve_lp(lp) == sol
+
+
+def _reference_coerce_program(lp: LinearProgram):
+    """The coercion ``solve_lp`` used before each entry was converted only once:
+    every entry through ``parse_number``, then all of them to float unless all
+    are Fractions."""
+    obj = [parse_number(c) for c in lp.objective]
+    a_ub = [[parse_number(c) for c in row] for row in lp.a_ub]
+    b_ub = [parse_number(b) for b in lp.b_ub]
+    a_eq = [[parse_number(c) for c in row] for row in lp.a_eq]
+    b_eq = [parse_number(b) for b in lp.b_eq]
+    bounds = lp.bounds if lp.bounds is not None else tuple((None, None) for _ in obj)
+    bounds = [
+        (None if lo is None else parse_number(lo), None if hi is None else parse_number(hi))
+        for lo, hi in bounds
+    ]
+    n = len(obj)
+    if len(bounds) != n:
+        raise DimensionMismatchError("one bound pair per variable required")
+    for row in a_ub:
+        if len(row) != n:
+            raise DimensionMismatchError("a_ub row width must match variable count")
+    for row in a_eq:
+        if len(row) != n:
+            raise DimensionMismatchError("a_eq row width must match variable count")
+    if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
+        raise DimensionMismatchError("constraint matrices and rhs lengths differ")
+    pieces = obj + b_ub + b_eq
+    for row in a_ub + a_eq:
+        pieces += row
+    for lo, hi in bounds:
+        pieces += [v for v in (lo, hi) if v is not None]
+    exact = all(isinstance(v, Fraction) for v in pieces)
+    if not exact:
+        obj = [float(v) for v in obj]
+        a_ub = [[float(v) for v in row] for row in a_ub]
+        b_ub = [float(v) for v in b_ub]
+        a_eq = [[float(v) for v in row] for row in a_eq]
+        b_eq = [float(v) for v in b_eq]
+        bounds = [
+            (None if lo is None else float(lo), None if hi is None else float(hi))
+            for lo, hi in bounds
+        ]
+    return obj, a_ub, b_ub, a_eq, b_eq, bounds, exact
+
+
+def _map_entries(lp: LinearProgram, fn) -> LinearProgram:
+    def each(vec):
+        return tuple(None if v is None else fn(v) for v in vec)
+
+    return LinearProgram(
+        each(lp.objective), tuple(map(each, lp.a_ub)), each(lp.b_ub), tuple(map(each, lp.a_eq)),
+        each(lp.b_eq), tuple(map(each, lp.bounds)),
+    )
+
+
+def _solve_both_ways(lp: LinearProgram, monkeypatch):
+    """(solution or error) of solve_lp, with its own coercion and with the reference one."""
+    out = []
+    for coerce in (lp_module._coerce_program, _reference_coerce_program):
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "_coerce_program", coerce)
+            try:
+                out.append(solve_lp(lp))
+            except Exception as exc:  # compared below, type and message
+                out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("with_floats", [False, True])
+def test_mixed_entry_types_solve_as_the_reference_coercion(monkeypatch, with_floats):
+    """Programs mixing int, Fraction, float, numeric strings and numpy scalars in
+    the objective, the rows and the bounds solve exactly as before."""
+    rng = random.Random(2026 + with_floats)
+    exact_forms = [
+        lambda v: v,
+        str,
+        lambda v: f"{v.numerator}/{v.denominator}",
+        lambda v: int(v) if v.denominator == 1 else v,
+        lambda v: np.int64(int(v)) if v.denominator == 1 else v,
+    ]
+    float_forms = [float, lambda v: np.float64(float(v))] if with_floats else []
+    kinds = set()
+    for _ in range(40):
+        lp = _random_exact_program(rng)
+
+        def scramble(v):
+            form = rng.choice(exact_forms + float_forms)
+            out = form(v)
+            kinds.add(type(out))
+            return out
+
+        mixed = _map_entries(lp, scramble)
+        new, ref = _solve_both_ways(mixed, monkeypatch)
+        assert new == ref
+        assert repr(new) == repr(ref)
+        if not with_floats:
+            assert new == solve_lp(lp)
+    assert {int, str, Fraction, np.int64} <= kinds
+    if with_floats:
+        assert {float, np.float64} <= kinds
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, float("nan"), float("inf"), -np.inf, "1/0", "x"])
+@pytest.mark.parametrize("where", ["objective", "a_ub", "b_ub", "bounds"])
+def test_bad_entries_raise_as_the_reference_coercion(monkeypatch, bad, where):
+    lp = _corner_program()
+    for base in (lp, _map_entries(lp, float)):
+        fields = {
+            "objective": (bad, base.objective[1]),
+            "a_ub": base.a_ub[:1] + ((bad, base.a_ub[1][1]),) + base.a_ub[2:],
+            "b_ub": (base.b_ub[0], bad, base.b_ub[2]),
+            "bounds": ((base.bounds[0][0], bad), base.bounds[1]),
+        }
+        new, ref = _solve_both_ways(replace(base, **{where: fields[where]}), monkeypatch)
+        assert isinstance(ref, tuple), "the reference coercion accepted a bad entry"
+        assert new == ref

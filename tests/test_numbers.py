@@ -49,6 +49,12 @@ def test_parse_number_rejects_junk():
         parse_number("not a number")
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", " -3/0 "])
+def test_parse_number_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_number(text)
+
+
 def test_exactness_predicates():
     assert is_exact(F(1, 3)) and is_exact(4)
     assert not is_exact(0.5) and not is_exact(True)
