@@ -12,22 +12,18 @@ from importlib import import_module as _import_module
 
 # Every public name loads its module on first access (PEP 562), so each
 # command compiles only the modules it runs, and the Fraction-only paths
-# never import numpy or scipy.  lp and _numbers export nothing here, but
-# stay reachable as attributes.
+# never import numpy or scipy.  lp exports nothing here, but stays
+# reachable as an attribute.
 _LAZY = {
-    "_numbers": (),
+    "_numbers": ("Problem",),
     "distribution": (
         "DiscreteDistribution", "TransformValue", "cost_efficient_payoff",
         "distributional_transform", "in_permutation_hull", "is_convex_dominated",
         "mean_preserving_contraction",
     ),
     "efficiency": (
-        "KernelSet", "KkmDiagnostics", "Optimizer", "PayoffSet", "Problem",
-        "SolutionSet", "ThreeStateTarget", "attainable_cost_efficient_payoffs",
-        "attainable_permutations", "convexified_maximin_cost",
-        "convexified_minimax_cost", "is_attainable_payoff",
-        "is_perfectly_cost_efficient", "kkm_diagnostics", "maximin_cost",
-        "minimax_cost", "solve_problem", "three_state_closed_form",
+        "convexified_maximin_cost", "convexified_minimax_cost", "maximin_cost",
+        "minimax_cost", "solve_problem",
     ),
     "errors": (
         "BracketError", "DimensionMismatchError", "EfficoError", "InfeasibleError",
@@ -39,12 +35,18 @@ _LAZY = {
         "SuperhedgeResult", "VertexFamily", "kernel_family", "price",
         "superhedge_cost",
     ),
+    "solution": ("KernelSet", "Optimizer", "PayoffSet", "SolutionSet"),
     "stochvol": (
         "DEFAULT_MODEL", "CurvePoint", "DistributionCost", "LogNormal",
         "MixtureStock", "MomentMatchedTargets", "Normal", "PointMass",
         "RegimeSwitchModel", "curve_to_csv", "distribution_superhedge_cost",
         "floor_price", "kernel_cdf", "kernel_quantile", "moment_matched_targets",
         "stock_cdf", "stock_quantile", "variance_cost_curve",
+    ),
+    "three_state": (
+        "KkmDiagnostics", "ThreeStateTarget", "attainable_cost_efficient_payoffs",
+        "attainable_permutations", "is_attainable_payoff", "is_perfectly_cost_efficient",
+        "kkm_diagnostics", "three_state_closed_form",
     ),
     "utility": (
         "CustomUtility", "EfficiencyReport", "ExpUtility", "GridSearchResult",

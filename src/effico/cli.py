@@ -55,7 +55,7 @@ def _load_model(path: str | None):
 
 
 def _run_three_state(args) -> int:
-    from .efficiency import (
+    from .three_state import (
         ThreeStateTarget,
         attainable_cost_efficient_payoffs,
         is_perfectly_cost_efficient,

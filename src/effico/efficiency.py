@@ -10,20 +10,20 @@ kernels of an incomplete market, four optimal values are of interest:
 
 The first three always coincide; the fourth can be strictly larger, and
 equality characterizes perfect cost-efficiency (z = 3y - 2x in the 3-state
-model).  Closed forms for the 3-state market live in
-``three_state_closed_form``; the generic solvers work on any market small
-enough to enumerate and agree with the closed forms on the canonical one.
+model).  The solvers here work on any market small enough to enumerate and
+agree with the closed forms of ``three_state`` on the canonical one.  Those
+closed forms are re-exported here on first access, so loading this module
+does not compile them, and the 3-state commands do not compile this one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ._numbers import Num, Problem, all_exact, average_dot, format_number, is_exact, parse_number
-from .distribution import DiscreteDistribution
+from ._numbers import Num, Problem, all_exact, average_dot, is_exact
+from .distribution import DiscreteDistribution, _as_distribution
 from .errors import DimensionMismatchError, NumericalError, TooManyStatesError
 from .lp import LpBuilder, add_top_k_sum_bound, solve_lp
 from .market import (
@@ -33,327 +33,31 @@ from .market import (
     PricingKernel,
     VertexFamily,
     kernel_family,
-    price,
     superhedge_cost,
 )
+from .solution import _VALUE_TOL, KernelSet, Optimizer, PayoffSet, SolutionSet, _point
 
+# re-exported from three_state on first access, by __getattr__ below
+_THREE_STATE = (
+    "KkmDiagnostics", "ThreeStateTarget", "attainable_cost_efficient_payoffs",
+    "attainable_permutations", "is_attainable_payoff", "is_perfectly_cost_efficient",
+    "kkm_diagnostics", "three_state_closed_form",
+)
 __all__ = [
-    "Problem",
-    "ThreeStateTarget",
-    "PayoffSet",
-    "KernelSet",
-    "Optimizer",
-    "SolutionSet",
-    "KkmDiagnostics",
-    "three_state_closed_form",
-    "maximin_cost",
-    "minimax_cost",
-    "convexified_maximin_cost",
-    "convexified_minimax_cost",
-    "solve_problem",
-    "is_perfectly_cost_efficient",
-    "is_attainable_payoff",
-    "attainable_permutations",
-    "attainable_cost_efficient_payoffs",
-    "kkm_diagnostics",
+    "Problem", "PayoffSet", "KernelSet", "Optimizer", "SolutionSet", "maximin_cost",
+    "minimax_cost", "convexified_maximin_cost", "convexified_minimax_cost", "solve_problem",
+    *_THREE_STATE,
 ]
 
-_VALUE_TOL = 1e-9
-_MATCH_TOL = 1e-9
 _GENERIC_MAX_STATES = 7
 
-_FIFTH = Fraction(1, 5)
-_QUARTER = Fraction(1, 4)
-_THIRD = Fraction(1, 3)
 
+def __getattr__(name: str):
+    if name not in _THREE_STATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import three_state
 
-@dataclass(frozen=True)
-class ThreeStateTarget:
-    """Strictly ordered target values x < y < z on three equiprobable states.
-
-    ``delta1 = 2x - 3y + z`` drives the case split of the closed forms;
-    ``delta2 = x - 3y + 2z`` refines the minimax case.  delta2 > delta1
-    always, so delta1 >= 0 forces delta2 > 0.
-    """
-
-    x: Num
-    y: Num
-    z: Num
-
-    def __post_init__(self):
-        x, y, z = (parse_number(v) for v in (self.x, self.y, self.z))
-        if not all_exact((x, y, z)):
-            x, y, z = float(x), float(y), float(z)
-        if not (x < y < z):
-            raise ValueError(f"target values must satisfy x < y < z, got {x}, {y}, {z}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
-    @property
-    def delta1(self) -> Num:
-        return 2 * self.x - 3 * self.y + self.z
-
-    @property
-    def delta2(self) -> Num:
-        return self.x - 3 * self.y + 2 * self.z
-
-    @property
-    def is_exact(self) -> bool:
-        return all_exact((self.x, self.y, self.z))
-
-    def values(self) -> tuple[Num, Num, Num]:
-        return (self.x, self.y, self.z)
-
-    def distribution(self) -> DiscreteDistribution:
-        return DiscreteDistribution((self.x, self.y, self.z))
-
-
-def _as_target(obj) -> ThreeStateTarget:
-    if isinstance(obj, ThreeStateTarget):
-        return obj
-    if isinstance(obj, DiscreteDistribution):
-        vals = obj.values
-    else:
-        vals = tuple(obj)
-    if len(vals) != 3:
-        raise DimensionMismatchError("a three-state target needs exactly 3 values")
-    return ThreeStateTarget(*vals)
-
-
-def _even_points(lo: Num, hi: Num, count: int) -> list[Num]:
-    """count evenly spaced points from lo to hi, exact when the span is exact."""
-    if count < 2:
-        raise ValueError(f"count must be at least 2 to sample a range, got {count}")
-    span = hi - lo
-    if is_exact(span):
-        return [lo + span * Fraction(i, count - 1) for i in range(count)]
-    return [lo + span * i / (count - 1) for i in range(count)]
-
-
-@dataclass(frozen=True, slots=True)
-class PayoffSet:
-    """A payoff point, or the segment base + t * step for t in t_range."""
-
-    base: tuple[Num, ...]
-    step: Optional[tuple[Num, ...]] = None
-    t_range: Optional[tuple[Num, Num]] = None
-
-    @property
-    def is_segment(self) -> bool:
-        return self.step is not None
-
-    def at(self, t: Num) -> tuple[Num, ...]:
-        if not self.is_segment:
-            return self.base
-        t = parse_number(t)
-        return tuple(b + t * s for b, s in zip(self.base, self.step))
-
-    def sample(self, count: int = 5) -> list[tuple[Num, ...]]:
-        """Representative payoffs: the point itself, or count points per segment."""
-        if not self.is_segment:
-            return [self.base]
-        return [self.at(t) for t in _even_points(*self.t_range, count)]
-
-    def contains(self, payoff: Sequence[Num], tol: float = _MATCH_TOL) -> bool:
-        vec = tuple(parse_number(v) for v in payoff)
-        if len(vec) != len(self.base):
-            return False
-        if not self.is_segment:
-            return all(abs(a - b) <= tol for a, b in zip(vec, self.base))
-        k = next(i for i, s in enumerate(self.step) if s != 0)
-        t = (vec[k] - self.base[k]) / self.step[k]
-        t0, t1 = self.t_range
-        if t < t0 - tol or t > t1 + tol:
-            return False
-        return all(abs(v - (b + t * s)) <= tol for v, b, s in zip(vec, self.base, self.step))
-
-
-@dataclass(frozen=True, slots=True)
-class KernelSet:
-    """The kernel side of an optimizer: a single kernel or a parameter range."""
-
-    weights: Optional[tuple[Num, ...]] = None
-    u: Optional[Num] = None
-    u_range: Optional[tuple[Num, Num]] = None
-    boundary: bool = False
-
-    def contains_u(self, u: Num, tol: float = _MATCH_TOL) -> bool:
-        u = parse_number(u)
-        if self.u_range is not None:
-            lo, hi = self.u_range
-            return lo - tol <= u <= hi + tol
-        if self.u is not None:
-            return abs(u - self.u) <= tol
-        return False
-
-    def sample_u(self, count: int = 5) -> list[Num]:
-        if self.u_range is None:
-            return [] if self.u is None else [self.u]
-        return _even_points(*self.u_range, count)
-
-
-@dataclass(frozen=True, slots=True)
-class Optimizer:
-    payoff: PayoffSet
-    kernel: KernelSet
-
-    def to_dict(self, decimal: bool = False) -> dict:
-        out: dict = {"Z": [format_number(v, decimal) for v in self.payoff.base]}
-        if self.payoff.is_segment:
-            out["Z_step"] = [format_number(v, decimal) for v in self.payoff.step]
-            out["t_range"] = [format_number(v, decimal) for v in self.payoff.t_range]
-        kd: dict = {}
-        if self.kernel.u_range is not None:
-            kd["u_range"] = [format_number(v, decimal) for v in self.kernel.u_range]
-        elif self.kernel.u is not None:
-            kd["u"] = format_number(self.kernel.u, decimal)
-        elif self.kernel.weights is not None:
-            kd["weights"] = [format_number(v, decimal) for v in self.kernel.weights]
-        out["kernel"] = kd
-        out["boundary"] = self.kernel.boundary
-        return out
-
-
-@dataclass(frozen=True, slots=True)
-class SolutionSet:
-    """Optimal value plus every optimizer pair found (points and segments)."""
-
-    problem: Problem
-    value: Num
-    optimizers: tuple[Optimizer, ...]
-
-    def contains(self, payoff: Sequence[Num], u: Num | None = None, tol: float = _MATCH_TOL) -> bool:
-        """True when some listed optimizer covers the payoff (and kernel, if given)."""
-        for opt in self.optimizers:
-            if not opt.payoff.contains(payoff, tol):
-                continue
-            if u is None or opt.kernel.contains_u(u, tol):
-                return True
-        return False
-
-    def to_dict(self, decimal: bool = False) -> dict:
-        return {
-            "problem": self.problem.value,
-            "value": format_number(self.value, decimal),
-            "optimizers": [opt.to_dict(decimal) for opt in self.optimizers],
-        }
-
-
-def _kernel_weights_at(u: Num) -> tuple[Num, ...]:
-    # canonical 3-state family (3u, 3-9u, 6u)
-    return (3 * u, 3 - 9 * u, 6 * u)
-
-
-def _kernel_point(u: Num) -> KernelSet:
-    w = _kernel_weights_at(u)
-    return KernelSet(weights=w, u=u, boundary=any(v == 0 for v in w))
-
-
-def _kernel_range(lo: Num, hi: Num) -> KernelSet:
-    boundary = any(v == 0 for v in _kernel_weights_at(lo) + _kernel_weights_at(hi))
-    return KernelSet(u_range=(lo, hi), boundary=boundary)
-
-
-def _point(values: Sequence[Num]) -> PayoffSet:
-    return PayoffSet(tuple(values))
-
-
-def _segment(base: Sequence[Num], step: Sequence[Num], hi: Num) -> PayoffSet:
-    zero = Fraction(0) if is_exact(hi) else 0.0
-    return PayoffSet(tuple(base), tuple(step), (zero, hi))
-
-
-def three_state_closed_form(target, problem: Problem) -> SolutionSet:
-    """Exact value and optimizer table for the canonical 3-state market.
-
-    All four problems share their value when delta1 = 0 (the perfectly
-    cost-efficient case) and then also share the optimizer family
-    ((z, y, x), xi^u) for u in [1/5, 1/4].
-    """
-    target = _as_target(target)
-    x, y, z = target.values()
-    d1 = target.delta1
-
-    if problem is Problem.MINIMAX:
-        value = (2 * x + z) / 3 if d1 > 0 else y
-    elif d1 > 0:
-        value = (2 * x + y + z) / 4
-    elif d1 == 0:
-        value = y
-    else:
-        value = (2 * x + 2 * y + z) / 5
-
-    opts: list[Optimizer]
-    if problem is Problem.MAXIMIN:
-        if d1 > 0:
-            opts = [
-                Optimizer(_point((z, y, x)), _kernel_point(_QUARTER)),
-                Optimizer(_point((y, z, x)), _kernel_point(_QUARTER)),
-            ]
-        elif d1 == 0:
-            opts = [
-                Optimizer(_point((z, x, y)), _kernel_point(_FIFTH)),
-                Optimizer(_point((y, z, x)), _kernel_point(_QUARTER)),
-                Optimizer(_point((z, y, x)), _kernel_range(_FIFTH, _QUARTER)),
-            ]
-        else:
-            opts = [
-                Optimizer(_point((z, x, y)), _kernel_point(_FIFTH)),
-                Optimizer(_point((z, y, x)), _kernel_point(_FIFTH)),
-            ]
-    elif problem is Problem.CONVEXIFIED_MAXIMIN:
-        upper = Optimizer(
-            _segment((z, y, x), (-1, 1, 0), z - y), _kernel_point(_QUARTER)
-        )
-        lower = Optimizer(
-            _segment((z, y, x), (0, -1, 1), y - x), _kernel_point(_FIFTH)
-        )
-        if d1 > 0:
-            opts = [upper]
-        elif d1 == 0:
-            opts = [
-                Optimizer(_point((z, y, x)), _kernel_range(_FIFTH, _QUARTER)),
-                upper,
-                lower,
-            ]
-        else:
-            opts = [lower]
-    elif problem is Problem.CONVEXIFIED_MINIMAX:
-        if d1 >= 0:
-            z_star = ((3 * y + 3 * z - 2 * x) / 4, (2 * x + y + z) / 4, x)
-        else:
-            z_star = (z, (2 * x + 2 * y + z) / 5, (3 * x + 3 * y - z) / 5)
-        opts = [Optimizer(_point(z_star), _kernel_range(Fraction(0), _THIRD))]
-    elif problem is Problem.MINIMAX:
-        if d1 > 0:
-            opts = [Optimizer(_point((z, y, x)), _kernel_point(_THIRD))]
-        elif d1 == 0:
-            opts = [Optimizer(_point((z, y, x)), _kernel_range(Fraction(0), _THIRD))]
-        else:
-            d2 = target.delta2
-            if d2 > 0:
-                opts = [Optimizer(_point((z, y, x)), _kernel_point(Fraction(0)))]
-            elif d2 == 0:
-                opts = [
-                    Optimizer(_point((x, y, z)), _kernel_range(Fraction(0), _THIRD)),
-                    Optimizer(_point((z, y, x)), _kernel_point(Fraction(0))),
-                ]
-            else:
-                opts = [
-                    Optimizer(_point((x, y, z)), _kernel_point(Fraction(0))),
-                    Optimizer(_point((z, y, x)), _kernel_point(Fraction(0))),
-                ]
-    else:
-        raise ValueError(f"unknown problem {problem!r}")
-    return SolutionSet(problem, value, tuple(opts))
-
-
-# ---------------------------------------------------------------- generic
-
-
-def _as_dist(obj) -> DiscreteDistribution:
-    return obj if isinstance(obj, DiscreteDistribution) else DiscreteDistribution(tuple(obj))
+    return getattr(three_state, name)
 
 
 def _check_shapes(market: DiscreteMarket, dist: DiscreteDistribution) -> None:
@@ -646,7 +350,7 @@ def maximin_cost(market: DiscreteMarket, dist) -> SolutionSet:
     one LP, and the optimizers listed are those at the one maximin kernel
     that LP returns.
     """
-    dist = _as_dist(dist)
+    dist = _as_distribution(dist)
     _check_shapes(market, dist)
     return _solve_maximin(market, dist, convexified=False)
 
@@ -658,7 +362,7 @@ def convexified_maximin_cost(market: DiscreteMarket, dist) -> SolutionSet:
     minimum over a hull at extreme points); the optimizer set grows by the
     segments joining tied rearrangements.
     """
-    dist = _as_dist(dist)
+    dist = _as_distribution(dist)
     _check_shapes(market, dist)
     return _solve_maximin(market, dist, convexified=True)
 
@@ -697,7 +401,7 @@ def minimax_cost(market: DiscreteMarket, dist) -> SolutionSet:
     kernels, scaled to integers for exact input and in floats otherwise;
     only arrangements tied with the cheapest get a full ``superhedge_cost``.
     """
-    dist = _as_dist(dist)
+    dist = _as_distribution(dist)
     _check_shapes(market, dist)
     exact = market.is_exact and all_exact(dist.values)
     fam = kernel_family(market)
@@ -743,7 +447,7 @@ def convexified_minimax_cost(market: DiscreteMarket, dist) -> SolutionSet:
     every extreme kernel staying below t, with hull membership encoded by
     the sum and sum-of-k-largest constraints on the payoff.
     """
-    dist = _as_dist(dist)
+    dist = _as_distribution(dist)
     _check_shapes(market, dist)
     exact = market.is_exact and all_exact(dist.values)
     fam = kernel_family(market)
@@ -782,145 +486,3 @@ _SOLVERS = {
 
 def solve_problem(market: DiscreteMarket, dist, problem: Problem) -> SolutionSet:
     return _SOLVERS[problem](market, dist)
-
-
-# ---------------------------------------------------------- characterizations
-
-
-def is_perfectly_cost_efficient(target, dist=None, tol: float = _VALUE_TOL) -> bool:
-    """Whether the cheapest superhedge of the distribution has that distribution.
-
-    Three-state targets are tested by the exact criterion z = 3y - 2x;
-    a (market, dist) pair is tested by comparing minimax and maximin values.
-    """
-    if isinstance(target, DiscreteMarket):
-        if dist is None:
-            raise TypeError("a distribution is required alongside a market")
-        lhs = minimax_cost(target, dist).value
-        rhs = maximin_cost(target, dist).value
-        if is_exact(lhs) and is_exact(rhs):
-            return lhs == rhs
-        return abs(lhs - rhs) <= tol * max(1.0, abs(float(lhs)))
-    target = _as_target(target)
-    d1 = target.delta1
-    if target.is_exact:
-        return d1 == 0
-    return abs(d1) < 1e-12
-
-
-def is_attainable_payoff(payoff: Sequence[Num], tol: float = 1e-12) -> bool:
-    """Replicability by bond and stock in the canonical 3-state market.
-
-    A payoff (x1, x2, x3) is attainable iff x1 - 3 x2 + 2 x3 = 0, which is
-    also exactly the condition for its price to be kernel-independent.
-    """
-    vec = tuple(parse_number(v) for v in payoff)
-    if len(vec) != 3:
-        raise DimensionMismatchError("attainability test expects a 3-state payoff")
-    gap = vec[0] - 3 * vec[1] + 2 * vec[2]
-    if all_exact(vec):
-        return gap == 0
-    return abs(gap) < tol
-
-
-def attainable_permutations(target) -> list[tuple[Num, Num, Num]]:
-    """Rearrangements of the target values that are attainable payoffs.
-
-    For x < y < z only (x, y, z) (iff delta2 = 0) and (z, y, x)
-    (iff delta1 = 0) can satisfy the replication condition.
-    """
-    target = _as_target(target)
-    x, y, z = target.values()
-    out = []
-    if is_attainable_payoff((x, y, z)):
-        out.append((x, y, z))
-    if is_attainable_payoff((z, y, x)):
-        out.append((z, y, x))
-    return out
-
-
-def attainable_cost_efficient_payoffs(target) -> list[tuple[tuple[Num, Num, Num], tuple[Num, Num]]]:
-    """Attainable payoffs that arise as quantile rearrangements against a kernel.
-
-    The anti-comonotone construction orders the payoff against the kernel
-    weights, which only the arrangement (z, y, x) achieves, and only for
-    kernels with u in [1/5, 1/4]; combined with attainability this requires
-    z = 3y - 2x.  Returns (payoff, u-interval) pairs, empty otherwise.
-    """
-    target = _as_target(target)
-    x, y, z = target.values()
-    if not is_attainable_payoff((z, y, x)):
-        return []
-    return [((z, y, x), (_FIFTH, _QUARTER))]
-
-
-# ------------------------------------------------------------------ KKM
-
-
-@dataclass(frozen=True)
-class KkmDiagnostics:
-    """Best-response structure behind the KKM fixed-point view of maximin.
-
-    ``expected_cost(s, u)`` prices the quantile-transform payoff built at
-    parameter u under the kernel at parameter s; ``response_interval(s)``
-    is the closed set of u against which s cannot improve, and the
-    intersection over all s is exactly the maximin kernel set.
-    """
-
-    target: ThreeStateTarget
-    intersection: tuple[Num, Num]
-
-    def expected_cost(self, s: Num, u: Num) -> Num:
-        s = _snap_param(s)
-        u = _snap_param(u)
-        for v, name in ((s, "s"), (u, "u")):
-            if not 0 < v < _THIRD:
-                raise ValueError(f"{name} must lie strictly inside (0, 1/3)")
-        x, y, z = self.target.values()
-        if u < _FIFTH:
-            return x + (-3 * x + 2 * y + z) * s
-        if u == _FIFTH:
-            return (x + y) / 2 + (z - (x + y) / 2) * s
-        if u < _QUARTER:
-            return y + (2 * x - 3 * y + z) * s
-        if u == _QUARTER:
-            return (y + z) / 2 + (2 * x - y - z) * s
-        return z + (2 * x + y - 3 * z) * s
-
-    def response_interval(self, s: Num) -> tuple[Num, Num]:
-        s = _snap_param(s)
-        if not 0 < s < _THIRD:
-            raise ValueError("s must lie strictly inside (0, 1/3)")
-        d1 = self.target.delta1
-        if d1 > 0:
-            anchor = _QUARTER
-        elif d1 < 0:
-            anchor = _FIFTH
-        else:
-            lo = s if s < _FIFTH else _FIFTH
-            hi = s if s > _QUARTER else _QUARTER
-            return (lo, hi)
-        return (min(s, anchor), max(s, anchor))
-
-
-def _snap_param(v: Num) -> Num:
-    v = parse_number(v)
-    if is_exact(v):
-        return v
-    for a in (_FIFTH, _QUARTER):
-        if abs(v - a) < 1e-12:
-            return a
-    return v
-
-
-def kkm_diagnostics(target) -> KkmDiagnostics:
-    """Response intervals and their intersection for the 3-state maximin game."""
-    target = _as_target(target)
-    d1 = target.delta1
-    if d1 > 0:
-        inter = (_QUARTER, _QUARTER)
-    elif d1 < 0:
-        inter = (_FIFTH, _FIFTH)
-    else:
-        inter = (_FIFTH, _QUARTER)
-    return KkmDiagnostics(target, inter)

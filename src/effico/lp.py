@@ -32,6 +32,7 @@ _PIVOT_FLOOR = 1e-13
 _RATIO_FLOOR = 1e-12  # times the entering column's largest magnitude, at least 1
 _FEAS_TOL = 1e-8
 _ACTIVE_TOL = 1e-9
+_RESIDUAL_TOL = 1e-9  # times 1 + |rhs| + sum |a_i x_i|
 
 Bound = tuple[Optional[Num], Optional[Num]]
 
@@ -226,6 +227,12 @@ def _reduced_cost_row(raw: list[Num], tab: _Tableau) -> list[Num]:
     return cost
 
 
+def _check_residual(kind: str, i: int, excess: float, rhs: float, terms) -> None:
+    """Raise when a float solution breaks a constraint by more than rounding explains."""
+    if excess > _RESIDUAL_TOL * (1 + abs(rhs) + sum(map(abs, terms))):
+        raise NumericalError(f"float simplex solution violates {kind} {i} by {excess:.3g}")
+
+
 def solve_lp(lp: LinearProgram, sense: str = "min") -> LpSolution:
     """Solve a small LP; returns status, optimum, a vertex solution, active set."""
     if sense not in ("min", "max"):
@@ -367,18 +374,30 @@ def solve_lp(lp: LinearProgram, sense: str = "min") -> LpSolution:
     if isinstance(value, int):
         value = Fraction(value)
 
+    # the float path also checks x against every constraint, so that a bad
+    # pivot raises instead of returning a wrong optimum
     act_tol = 0 if exact else _ACTIVE_TOL
     active: list[tuple[str, int]] = []
     for i, (coeffs, rhs) in enumerate(zip(a_ub, b_ub)):
-        lhs = sum(c * v for c, v in zip(coeffs, x))
+        terms = [c * v for c, v in zip(coeffs, x)]
+        lhs = sum(terms)
         scale = 1 if exact else 1 + abs(rhs)
         if abs(lhs - rhs) <= act_tol * scale:
             active.append(("ub", i))
-    for i in range(len(a_eq)):
+        if not exact:
+            _check_residual("ub", i, lhs - rhs, rhs, terms)
+    for i, (coeffs, rhs) in enumerate(zip(a_eq, b_eq)):
         active.append(("eq", i))
+        if not exact:
+            terms = [c * v for c, v in zip(coeffs, x)]
+            _check_residual("eq", i, abs(sum(terms) - rhs), rhs, terms)
     for j, (lo, hi) in enumerate(bounds):
         if lo is not None and abs(x[j] - lo) <= act_tol:
             active.append(("lo", j))
         if hi is not None and abs(x[j] - hi) <= act_tol:
             active.append(("hi", j))
+        if not exact and lo is not None:
+            _check_residual("lower bound", j, lo - x[j], lo, (x[j],))
+        if not exact and hi is not None:
+            _check_residual("upper bound", j, x[j] - hi, hi, (x[j],))
     return LpSolution("optimal", value, tuple(x), tuple(active))

@@ -144,8 +144,9 @@ def _lp_checks(seed: int):
 
 
 def _efficiency_checks(seed: int):
-    from .efficiency import ThreeStateTarget, kkm_diagnostics, solve_problem, three_state_closed_form
+    from .efficiency import solve_problem
     from .market import DiscreteMarket
+    from .three_state import ThreeStateTarget, kkm_diagnostics, three_state_closed_form
 
     market = DiscreteMarket.canonical_three_state()
 

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import os
@@ -415,13 +416,29 @@ def test_utility_command_loads_no_solver():
 
 
 def test_exact_commands_load_no_verify(market_files):
+    """three-state compiles only the closed forms, solve only the generic solvers."""
     market, dist = market_files
     three = _effico_imports("three-state", "--x", "1", "--y", "2", "--z", "3", "--all")
     solve = _effico_imports("solve", "--market", market, "--dist", dist, "--all")
-    for loaded in (three, solve):
-        assert "effico.efficiency" in loaded
-        assert "effico.verify" not in loaded
-        assert "effico.stochvol" not in loaded
+    base = {"effico", "effico._numbers", "effico.errors", "effico.solution"}
+    assert three == base | {"effico.three_state"}
+    assert solve == base | {
+        "effico.distribution", "effico.efficiency", "effico.lp", "effico.market",
+    }
+
+
+def test_public_names_are_one_object_on_every_path():
+    """effico, effico.efficiency and each name's own module hand out the same object."""
+    for module, names in effico._LAZY.items():
+        mod = importlib.import_module(f"effico.{module}")
+        for name in names:
+            assert getattr(effico, name) is getattr(mod, name), name
+    for name in efficiency.__all__:
+        assert getattr(efficiency, name) is getattr(effico, name), name
+    assert efficiency.solve_problem.__module__ == "effico.efficiency"
+    assert efficiency.three_state_closed_form.__module__ == "effico.three_state"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        efficiency.no_such_name
 
 
 def test_parser_choices_come_from_problem_and_suites():

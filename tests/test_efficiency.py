@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effico import efficiency
+from effico import efficiency, lp
 from effico.distribution import DiscreteDistribution, in_permutation_hull
 from effico.efficiency import (
     KernelSet,
@@ -30,8 +30,10 @@ from effico.efficiency import (
     solve_problem,
     three_state_closed_form,
 )
-from effico.errors import DimensionMismatchError, TooManyStatesError
-from effico.market import DiscreteMarket, VertexFamily, kernel_family, price, superhedge_cost
+from effico.errors import DimensionMismatchError, NumericalError, TooManyStatesError
+from effico.market import (
+    DiscreteMarket, ParametricFamily, VertexFamily, kernel_family, price, superhedge_cost,
+)
 
 F = Fraction
 
@@ -77,6 +79,18 @@ def test_target_validation_and_deltas():
         ThreeStateTarget(1, 2, 2)
     with pytest.raises(ValueError):
         ThreeStateTarget(3, 2, 1)
+
+
+def test_closed_forms_take_a_distribution_or_values():
+    dist = DiscreteDistribution((1, 2, 4))
+    for problem in ALL_PROBLEMS:
+        want = three_state_closed_form(ThreeStateTarget(1, 2, 4), problem)
+        assert three_state_closed_form(dist, problem) == want
+        assert three_state_closed_form((1, 2, 4), problem) == want
+    assert kkm_diagnostics(dist) == kkm_diagnostics((1, 2, 4))
+    assert attainable_permutations(dist) == [(F(4), F(2), F(1))]
+    with pytest.raises(DimensionMismatchError):
+        three_state_closed_form(DiscreteDistribution((1, 2, 3, 4)), Problem.MAXIMIN)
 
 
 def test_closed_form_1_2_3():
@@ -489,6 +503,61 @@ def test_float_convexified_minimax_matches_exact(case):
     float_law = tuple(float(v) for v in law)
     for mkt in (market, _float_copy(market)):
         assert abs(convexified_minimax_cost(mkt, float_law).value - exact) <= 1e-9
+
+
+def test_float_residual_check_rejects_a_bad_pivot(monkeypatch):
+    """With the ratio floor lowered to 1e-13 the simplex pivots on a rounding
+    residue of the first market, and its x breaks a row by about 2e-3: the
+    residual check turns that wrong optimum into an error."""
+    (s0, rows), law, _ = FLOAT_LP_CASES[0]
+    monkeypatch.setattr(lp, "_RATIO_FLOOR", 1e-13)
+    with pytest.raises(NumericalError, match="violates"):
+        convexified_minimax_cost(DiscreteMarket(len(law), s0, rows), [float(v) for v in law])
+
+
+CHAIN = (maximin_cost, convexified_maximin_cost, convexified_minimax_cost, minimax_cost)
+
+
+def _family_shape(fam):
+    if isinstance(fam, ParametricFamily):
+        return "segment"
+    return "vertex" if len(fam.vertices) > 1 else "unique"
+
+
+def test_random_markets_of_every_family_shape_keep_the_chain():
+    """Seeded 4-6-state markets with 1 to n - 1 assets, so every kernel-family shape occurs.
+
+    Each keeps maximin = convexified maximin = convexified minimax <= minimax,
+    its float copy agrees within 1e-9 without raising, a Robin Hood transfer
+    (a contraction in convex order) never makes convexified minimax cheaper,
+    and the market form of
+    ``is_perfectly_cost_efficient`` says whether minimax equals maximin.
+    """
+    rng = random.Random(12)
+    shapes, perfect = set(), set()
+    for _ in range(18):
+        n = rng.randint(4, 6)
+        market = _random_priced_market(rng, n, rng.randint(1, n - 1))
+        shapes.add(_family_shape(kernel_family(market)))
+        values = sorted(F(rng.randint(-6, 12), rng.randint(1, 3)) for _ in range(n))
+        dist = DiscreteDistribution(values)
+        exact = [solve(market, dist).value for solve in CHAIN]
+        mx, cmx, cmm, mm = exact
+        assert mx == cmx == cmm <= mm
+        float_market = _float_copy(market)
+        float_dist = DiscreteDistribution([float(v) for v in values])
+        for solve, want in zip(CHAIN, exact):
+            assert abs(solve(float_market, float_dist).value - want) <= 1e-9
+        # move up to half the gap between two atoms from the richer to the poorer
+        i, j = sorted(rng.sample(range(n), 2))
+        t = (values[j] - values[i]) * F(rng.randint(1, 4), 8)
+        moved = values[:i] + [values[i] + t] + values[i + 1 : j] + [values[j] - t] + values[j + 1 :]
+        assert convexified_minimax_cost(market, moved).value >= cmm
+        is_perfect = is_perfectly_cost_efficient(market, dist)
+        assert is_perfect == (mm == mx)
+        perfect.add(is_perfect)
+    assert shapes == {"vertex", "segment", "unique"}
+    assert perfect == {True, False}
 
 
 def _kernel_sets(sol):
