@@ -22,7 +22,7 @@ from itertools import permutations, product
 from math import lcm
 from typing import Sequence
 
-from ._numbers import Num, Problem, all_exact, average_dot, is_exact
+from ._numbers import Problem, all_exact, average_dot, is_exact
 from .distribution import DiscreteDistribution, _as_distribution
 from .errors import DimensionMismatchError, NumericalError, TooManyStatesError
 from .lp import LpBuilder, add_top_k_sum_bound, solve_lp
@@ -84,75 +84,76 @@ def _weight_blocks(weights, exact: bool) -> list[list[int]]:
     return blocks
 
 
+def _decode(values, arrangements, order) -> list[tuple]:
+    """The value tuples that arrangements of first-occurrence codes stand for.
+
+    ``values`` is sorted, so codes sort like the values.  Walking the states
+    in ``order``, the k-th state holding code c takes the k-th of the values
+    equal to ``values[c]``.  The choice shows only for floats, where 0.0 and
+    -0.0 are equal.
+    """
+    n = len(values)
+    out = []
+    for arr in arrangements:
+        vec = [None] * n
+        used = dict.fromkeys(arr, 0)
+        for i in order:
+            vec[i] = values[arr[i] + used[arr[i]]]
+            used[arr[i]] += 1
+        out.append(tuple(vec))
+    return out
+
+
 def _minimizing_payoffs(weights, values, exact: bool, blocks=None):
     """Min price over payoffs with the given value multiset, with all argmins.
 
     The minimum pairs large weights with small values.  Every distinct
     minimizing arrangement is returned: within blocks of (near-)equal
-    weights the assigned values may be permuted freely.  ``blocks`` is
-    ``_weight_blocks(weights, exact)``, if the caller keeps it.
+    weights the assigned values may be permuted freely.  Arrangements come
+    as tuples of first-occurrence codes into the sorted values, sorted
+    descending, and as the value tuples those codes stand for.  ``blocks``
+    is ``_weight_blocks(weights, exact)``, if the caller keeps it.
     """
-    n = len(weights)
     blocks = blocks or _weight_blocks(weights, exact)
-    sorted_vals = sorted(values)
-    pos = 0
-    block_slices: list[tuple[list[int], tuple]] = []
+    values = sorted(values)
+    order = [i for block in blocks for i in block]
+    where = sorted(range(len(order)), key=order.__getitem__)  # state i is order[where[i]]
+    first = [values.index(v) for v in values]
+    arrangements, pos = [], 0
     for block in blocks:
-        block_slices.append((block, tuple(sorted_vals[pos : pos + len(block)])))
+        # dict.fromkeys drops the permutations that repeat an arrangement
+        arrangements.append(list(dict.fromkeys(permutations(first[pos : pos + len(block)]))))
         pos += len(block)
-
-    base = [None] * n
-    for block, vals in block_slices:
-        for i, v in zip(block, vals):
-            base[i] = v
-    min_price = average_dot(weights, base)
-
-    arrangements = []
-    for block, vals in block_slices:
-        if len(set(vals)) == 1:
-            arrangements.append([vals])
-        else:
-            # dict.fromkeys keeps the sorted order of the permutations, so the
-            # final sort is cheap; distinct block arrangements combine distinctly
-            arrangements.append(list(dict.fromkeys(permutations(vals))))
-    vectors = []
-    for combo in product(*arrangements):
-        vec = [None] * n
-        for (block, _), vals in zip(block_slices, combo):
-            for i, v in zip(block, vals):
-                vec[i] = v
-        vectors.append(tuple(vec))
-    return min_price, sorted(vectors, reverse=True)
+    combos = (sum(combo, ()) for combo in product(*arrangements))
+    codes = sorted((tuple(map(flat.__getitem__, where)) for flat in combos), reverse=True)
+    return average_dot(weights, [values[j] for j in where]), codes, _decode(values, codes, order)
 
 
-def _pair_segments(vectors, kernel: KernelSet):
+def _pair_segments(codes, vectors, kernel: KernelSet):
     """Segments joining argmin pairs that differ by one transposition.
 
     The face of payoffs tied at a kernel is the hull of the tied vectors;
-    its edges are the transposition pairs reported here.  Vectors in no
-    pair are returned separately as leftover points.
-
-    All vectors rearrange one value multiset, so two of them differ in
-    exactly two places iff one is a transposition of the other: each
-    vector's partners are looked up by swapping its entries, O(m n^2)
-    work for m vectors.  Segments come ordered by the first vector's
-    index, then the second's.  The segment runs from the larger vector in
-    direction -1 at k1 and +1 at k2 (k1 < k2), so one step tuple per
-    (k1, k2) and one range per (t0, delta) are shared by every segment.
+    its edges are the transposition pairs reported here, and the indices of
+    vectors in no pair come back as leftover points.  ``codes`` must be
+    distinct and sorted descending, as ``_minimizing_payoffs`` returns
+    them, with ``vectors`` the value tuples they stand for.  Partners are
+    looked up by swapping two codes, O(m n^2) work for m vectors.  Segments
+    come ordered by the first vector's index, then the second's; each runs
+    from the earlier, larger vector in direction -1 at k1 and +1 at k2
+    (k1 < k2), so one step tuple per (k1, k2) and one range per
+    (t0, delta) are shared by every segment.
     """
-    if not vectors:
+    if not codes:
         return [], []
-    n = len(vectors[0])
-    code = {v: c for c, v in enumerate(sorted({v for vec in vectors for v in vec}))}
-    keys = [tuple(code[v] for v in vec) for vec in vectors]
-    index = {key: i for i, key in enumerate(keys)}
+    n = len(codes[0])
+    index = {key: i for i, key in enumerate(codes)}
     exact = is_exact(vectors[0][0])
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     steps: dict = {}
     ranges: dict = {}
     segments: list[Optimizer] = []
-    covered = [False] * len(vectors)
-    for a_idx, key in enumerate(keys):
+    covered = [False] * len(codes)
+    for a_idx, key in enumerate(codes):
         partners = []
         for k1 in range(n):
             for k2 in range(k1 + 1, n):
@@ -164,10 +165,8 @@ def _pair_segments(vectors, kernel: KernelSet):
                 if b_idx > a_idx:
                     partners.append((b_idx, k1, k2))
         partners.sort()
-        a = vectors[a_idx]
+        base = vectors[a_idx]
         for b_idx, k1, k2 in partners:
-            b = vectors[b_idx]
-            base = a if a >= b else b
             step = steps.get((k1, k2))
             if step is None:
                 step = tuple(-one if k == k1 else one if k == k2 else zero for k in range(n))
@@ -180,8 +179,7 @@ def _pair_segments(vectors, kernel: KernelSet):
                 ranges[rkey] = t_range
             segments.append(Optimizer(PayoffSet(base, step, t_range), kernel))
             covered[a_idx] = covered[b_idx] = True
-    leftovers = [v for v, hit in zip(vectors, covered) if not hit]
-    return segments, leftovers
+    return segments, [j for j, hit in enumerate(covered) if not hit]
 
 
 def _once(obj, key: str, build):
@@ -233,68 +231,51 @@ def _breakpoints(fam: ParametricFamily, exact: bool):
     return _once(fam, f"_breakpoints_{exact}", build)
 
 
-def _maximin_parametric(fam: ParametricFamily, dist, exact, convexified):
+def _maximin_parametric(fam: ParametricFamily, dist, exact):
     bps, kernels, blocks, range_sets = _breakpoints(fam, exact)
     evals = [_minimizing_payoffs(k.weights, dist.values, exact, b) for k, b in zip(kernels, blocks)]
-    value = max(mp for mp, _ in evals)
+    value = max(mp for mp, _, _ in evals)
     tol = 0 if exact else _VALUE_TOL * max(1.0, abs(float(value)))
-    attain = [abs(mp - value) <= tol for mp, _ in evals]
+    attain = [abs(mp - value) <= tol for mp, _, _ in evals]
 
-    # payoffs optimal across a whole flat stretch of breakpoints, as index spans
-    flat: dict[tuple, list[tuple[int, int]]] = {}
+    # payoffs optimal across a whole flat stretch of breakpoints, as index
+    # spans; each takes its values from the breakpoint with fewer argmins
+    flat: dict[tuple, tuple] = {}
     for i in range(len(bps) - 1):
         if attain[i] and attain[i + 1]:
-            shared = set(evals[i][1]) & set(evals[i + 1][1])
-            for vec in shared:
-                spans = flat.setdefault(vec, [])
-                if spans and spans[-1][1] == i:
-                    spans[-1] = (spans[-1][0], i + 1)
-                else:
-                    spans.append((i, i + 1))
+            few, many = sorted((evals[i + 1], evals[i]), key=lambda e: len(e[1]))
+            many_codes = set(many[1])
+            for code, vec in zip(few[1], few[2]):
+                if code in many_codes:
+                    spans = flat.setdefault(code, (vec, []))[1]
+                    if spans and spans[-1][1] == i:
+                        spans[-1] = (spans[-1][0], i + 1)
+                    else:
+                        spans.append((i, i + 1))
 
-    opts: list[Optimizer] = []
-    for vec in sorted(flat, reverse=True):
-        for lo, hi in flat[vec]:
+    flat_opts: list[Optimizer] = []
+    for code in sorted(flat, reverse=True):
+        vec, spans = flat[code]
+        for lo, hi in spans:
             boundary = kernels[lo].is_boundary or kernels[hi].is_boundary
             kset = KernelSet(u_range=(bps[lo], bps[hi]), boundary=boundary)
-            opts.append(Optimizer(_point(vec), range_sets.setdefault((lo, hi), kset)))
+            flat_opts.append(Optimizer(_point(vec), range_sets.setdefault((lo, hi), kset)))
 
-    def _flat_covers(vec, i) -> bool:
-        return any(lo <= i <= hi for lo, hi in flat.get(vec, ()))
-
-    for i in range(len(bps)):
-        if not attain[i]:
-            continue
-        vectors = evals[i][1]
-        kset = _kernel_set_for(kernels[i])
-        if convexified:
-            segments, leftovers = _pair_segments(vectors, kset)
-            opts.extend(segments)
-            for vec in leftovers:
-                if not _flat_covers(vec, i):
-                    opts.append(Optimizer(_point(vec), kset))
-        else:
-            for vec in vectors:
-                if not _flat_covers(vec, i):
-                    opts.append(Optimizer(_point(vec), kset))
-    return value, opts
+    at_kernels = []
+    for i, (_, codes, vectors) in enumerate(evals):
+        if attain[i]:
+            covered = {c for c, (_, spans) in flat.items() if any(lo <= i <= hi for lo, hi in spans)}
+            at_kernels.append((_kernel_set_for(kernels[i]), codes, vectors, covered))
+    return value, flat_opts, at_kernels
 
 
-def _maximin_vertex(market, fam: VertexFamily, dist, exact, convexified):
+def _maximin_vertex(market, fam: VertexFamily, dist, exact):
     if len(fam.vertices) == 1:
         best_kernel = fam.vertices[0]
     else:
         best_kernel = _maximin_kernel(market, dist, exact)
-    value, vectors = _minimizing_payoffs(best_kernel.weights, dist.values, exact)
-    kset = _kernel_set_for(best_kernel)
-    opts: list[Optimizer] = []
-    if convexified:
-        segments, leftovers = _pair_segments(vectors, kset)
-        opts.extend(segments)
-        opts.extend(Optimizer(_point(vec), kset) for vec in leftovers)
-    else:
-        opts.extend(Optimizer(_point(vec), kset) for vec in vectors)
-    return value, opts
+    value, codes, vectors = _minimizing_payoffs(best_kernel.weights, dist.values, exact)
+    return value, [], [(_kernel_set_for(best_kernel), codes, vectors, set())]
 
 
 def _maximin_kernel(market, dist, exact) -> PricingKernel:
@@ -329,13 +310,36 @@ def _maximin_kernel(market, dist, exact) -> PricingKernel:
     return PricingKernel(tuple(sol.x[w] for w in ws))
 
 
+def _maximin_argmins(market, fam: KernelFamily, dist, exact: bool):
+    """The maximin solve of a law, kept on the law object.
+
+    Returns the value, the flat-stretch optimizers, and per maximin kernel
+    its KernelSet, argmin codes and vectors, and the codes a flat stretch
+    already covers.  One slot, checked by the identity of the family object
+    and by the exact flag, so the two maximin solvers run one LP and one
+    enumeration per law object.
+    """
+    slot = vars(dist).get("_maximin")
+    if slot is None or slot[0] is not fam or slot[1] != exact:
+        if isinstance(fam, ParametricFamily):
+            state = _maximin_parametric(fam, dist, exact)
+        else:
+            state = _maximin_vertex(market, fam, dist, exact)
+        slot = vars(dist)["_maximin"] = (fam, exact, state)
+    return slot[2]
+
+
 def _solve_maximin(market, dist, convexified: bool) -> SolutionSet:
-    market_dist_exact = market.is_exact and all_exact(dist.values)
-    fam = kernel_family(market)
-    if isinstance(fam, ParametricFamily):
-        value, opts = _maximin_parametric(fam, dist, market_dist_exact, convexified)
-    else:
-        value, opts = _maximin_vertex(market, fam, dist, market_dist_exact, convexified)
+    exact = market.is_exact and all_exact(dist.values)
+    value, flat_opts, at_kernels = _maximin_argmins(market, kernel_family(market), dist, exact)
+    opts = list(flat_opts)
+    for kset, codes, vectors, covered in at_kernels:
+        if convexified:
+            segments, leftovers = _pair_segments(codes, vectors, kset)
+            opts.extend(segments)
+        else:
+            leftovers = range(len(codes))
+        opts.extend(Optimizer(_point(vectors[j]), kset) for j in leftovers if codes[j] not in covered)
     problem = Problem.CONVEXIFIED_MAXIMIN if convexified else Problem.MAXIMIN
     return SolutionSet(problem, value, tuple(opts))
 
@@ -348,7 +352,8 @@ def maximin_cost(market: DiscreteMarket, dist) -> SolutionSet:
     family the outer maximum is found at breakpoints and ties are reported
     in full, including whole flat parameter ranges.  On a vertex family it is
     one LP, and the optimizers listed are those at the one maximin kernel
-    that LP returns.
+    that LP returns.  One maximin solve per law object: a
+    ``DiscreteDistribution`` keeps it for ``convexified_maximin_cost``.
     """
     dist = _as_distribution(dist)
     _check_shapes(market, dist)
@@ -360,7 +365,8 @@ def convexified_maximin_cost(market: DiscreteMarket, dist) -> SolutionSet:
 
     The value equals ``maximin_cost`` (a linear objective attains its
     minimum over a hull at extreme points); the optimizer set grows by the
-    segments joining tied rearrangements.
+    segments joining tied rearrangements.  One maximin solve per law
+    object: it reuses the one a ``DiscreteDistribution`` keeps.
     """
     dist = _as_distribution(dist)
     _check_shapes(market, dist)
@@ -377,21 +383,6 @@ def _integer_scaled(values: Sequence[Fraction]) -> list[int]:
     """Exact values times their least common denominator: integers in the same ratios."""
     d = lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values]
-
-
-def _values_at(values: Sequence[Num], arrangement: Sequence[int]) -> tuple[Num, ...]:
-    """The values an arrangement of first-occurrence indices stands for.
-
-    The k-th use of an index takes the k-th of the values equal to it, as
-    the first permutation of ``values`` with that pattern does.  The choice
-    shows only for floats, where 0.0 and -0.0 are equal.
-    """
-    used = dict.fromkeys(arrangement, 0)
-    out = []
-    for c in arrangement:
-        out.append(values[c + used[c]])
-        used[c] += 1
-    return tuple(out)
 
 
 def minimax_cost(market: DiscreteMarket, dist) -> SolutionSet:
@@ -426,11 +417,8 @@ def minimax_cost(market: DiscreteMarket, dist) -> SolutionSet:
     arrangements = sorted(set(permutations(first)), reverse=True)
     scores = [max(sum(w * xs[c] for w, c in zip(row, arr)) for row in rows) for arr in arrangements]
     cut = min(scores) + margin
-    results = []
-    for arr, score in zip(arrangements, scores):
-        if score <= cut:
-            vec = _values_at(values, arr)
-            results.append((vec, superhedge_cost(fam, vec)))
+    kept = [arr for arr, score in zip(arrangements, scores) if score <= cut]
+    results = [(vec, superhedge_cost(fam, vec)) for vec in _decode(values, kept, range(n))]
     value = min(res.value for _, res in results)
     tol = 0 if exact else _VALUE_TOL * max(1.0, abs(float(value)))
     opts: list[Optimizer] = []

@@ -17,6 +17,13 @@ _VALUE_TOL = 1e-9
 _MATCH_TOL = 1e-9
 
 
+def _values_tie(a: Num, b: Num, tol: float = _VALUE_TOL) -> bool:
+    """Whether two optimal values tie: exactly if both are exact, else within tol relative to a."""
+    if is_exact(a) and is_exact(b):
+        return a == b
+    return abs(a - b) <= tol * max(1.0, abs(float(a)))
+
+
 def _even_points(lo: Num, hi: Num, count: int) -> list[Num]:
     """count evenly spaced points from lo to hi, exact when the span is exact."""
     if count < 2:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._numbers import Num, Problem, all_exact, is_exact, parse_number
 from .errors import DimensionMismatchError
-from .solution import _VALUE_TOL, KernelSet, Optimizer, SolutionSet, _point, _segment
+from .solution import _VALUE_TOL, KernelSet, Optimizer, SolutionSet, _point, _segment, _values_tie
 
 if TYPE_CHECKING:
     from .distribution import DiscreteDistribution
@@ -205,13 +205,11 @@ def is_perfectly_cost_efficient(target, dist=None, tol: float = _VALUE_TOL) -> b
     if _is_instance(target, "market", "DiscreteMarket"):
         if dist is None:
             raise TypeError("a distribution is required alongside a market")
+        from .distribution import _as_distribution
         from .efficiency import maximin_cost, minimax_cost
 
-        lhs = minimax_cost(target, dist).value
-        rhs = maximin_cost(target, dist).value
-        if is_exact(lhs) and is_exact(rhs):
-            return lhs == rhs
-        return abs(lhs - rhs) <= tol * max(1.0, abs(float(lhs)))
+        dist = _as_distribution(dist)
+        return _values_tie(minimax_cost(target, dist).value, maximin_cost(target, dist).value, tol)
     target = _as_target(target)
     d1 = target.delta1
     if target.is_exact:

@@ -382,6 +382,7 @@ def cost_efficiency_check(payoff: Sequence[Num]) -> EfficiencyReport:
     from .distribution import DiscreteDistribution, is_convex_dominated
     from .efficiency import convexified_minimax_cost, maximin_cost, minimax_cost
     from .market import DiscreteMarket
+    from .solution import _values_tie
 
     values = normalize_values(payoff)
     if len(values) != 3:
@@ -391,10 +392,7 @@ def cost_efficiency_check(payoff: Sequence[Num]) -> EfficiencyReport:
     floor = maximin_cost(market, dist)
     hedge = minimax_cost(market, dist)
     convexified = convexified_minimax_cost(market, dist)
-    if market.is_exact and dist.is_exact:
-        perfect = hedge.value == floor.value
-    else:
-        perfect = abs(hedge.value - floor.value) <= 1e-9 * max(1.0, abs(float(hedge.value)))
+    perfect = _values_tie(hedge.value, floor.value)
     optimizer = convexified.optimizers[0].payoff.base
     dominated = is_convex_dominated(optimizer, dist)
     return EfficiencyReport(

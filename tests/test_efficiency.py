@@ -335,9 +335,10 @@ def test_pair_segments_match_all_pairs_reference(exact):
             # a near-tie inside the float tolerance still forms one block
             weights = [float(w) + rng.choice((0.0, 1e-12)) for w in weights]
             values = [float(v) for v in values]
-        _, vectors = _minimizing_payoffs(weights, values, exact)
+        _, codes, vectors = _minimizing_payoffs(weights, values, exact)
         kernel = KernelSet(weights=tuple(weights))
-        got = _pair_segments(vectors, kernel)
+        segments, leftovers = _pair_segments(codes, vectors, kernel)
+        got = segments, [vectors[j] for j in leftovers]
         want = _pair_segments_reference(vectors, kernel)
         assert repr(got) == repr(want)
 
@@ -452,12 +453,10 @@ def test_random_vertex_markets_maximin_chain(monkeypatch):
         exact = (market, DiscreteDistribution(values), 0)
         floats = (_float_copy(market), DiscreteDistribution([float(v) for v in values]), 1e-9)
         for mkt, dist, tol in (exact, floats):
-            sols = []
-            for solve in (maximin_cost, convexified_maximin_cost):
-                calls.clear()
-                sols.append(solve(mkt, dist))
-                assert len(calls) == 1
-            mx, cmx = sols
+            # one maximin LP per law object, shared by the two maximin solvers
+            calls.clear()
+            mx, cmx = (solve(mkt, dist) for solve in (maximin_cost, convexified_maximin_cost))
+            assert len(calls) == 1
             cmm = convexified_minimax_cost(mkt, dist)
             mm = minimax_cost(mkt, dist)
             assert abs(mx.value - cmx.value) <= tol
@@ -629,6 +628,70 @@ def test_perfect_efficiency_market_form():
 def test_perfect_efficiency_float_tolerance():
     assert is_perfectly_cost_efficient((1.0, 2.0, 4.0))
     assert not is_perfectly_cost_efficient((1.0, 2.0, 4.0 + 1e-6))
+
+
+@pytest.mark.parametrize("payoff, perfect", [
+    ((1, 2, 4), True),  # z = 3y - 2x, an exact tie
+    ((1.0, 2.0, 4.0 + 1.2e-8), True),  # minimax - maximin = 1e-9, a float tie
+    ((1.0, 2.0, 4.0 + 2.4e-7), False),  # a gap of 1e-8 relative to the value 2
+])
+def test_perfect_efficiency_tie_rule_is_shared(payoff, perfect):
+    from effico.utility import cost_efficiency_check
+
+    assert is_perfectly_cost_efficient(CANON, payoff) is perfect
+    assert cost_efficiency_check(payoff).perfectly_cost_efficient is perfect
+
+
+def test_solvers_share_one_maximin_solve_per_law(monkeypatch):
+    lp_calls, enumerations = [], []
+    solve_lp, minimizing_payoffs = efficiency.solve_lp, efficiency._minimizing_payoffs
+
+    def counting_solve_lp(*args, **kwargs):
+        lp_calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    def counting_minimizing_payoffs(*args, **kwargs):
+        enumerations.append(args)
+        return minimizing_payoffs(*args, **kwargs)
+
+    monkeypatch.setattr(efficiency, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(efficiency, "_minimizing_payoffs", counting_minimizing_payoffs)
+    pair = (maximin_cost, convexified_maximin_cost)
+
+    def solve_pair(market, law):
+        """Both solvers' reprs, with the LPs and enumerations they ran."""
+        lp_calls.clear()
+        enumerations.clear()
+        sols = [repr(solve(market, law)) for solve in pair]
+        return sols, len(lp_calls), len(enumerations)
+
+    def fresh(market, values):
+        return [repr(solve(market, DiscreteDistribution(values))) for solve in pair]
+
+    # one law object on two vertex markets and back: the single slot re-solves
+    values = (F(1), F(2), F(4), F(7))
+    law = DiscreteDistribution(values)
+    first = DiscreteMarket(4, (F(5),), ((F(2), F(9), F(1), F(8)),))
+    second = DiscreteMarket(4, (F(2),), ((F(4), F(3), F(1), F(0)),))
+    for market in (first, second, first):
+        assert solve_pair(market, law) == (fresh(market, values), 1, 1)
+    # a parametric family enumerates once per breakpoint, and only once per law
+    breakpoints = len(efficiency._breakpoints(FAMILY, True)[0])
+    assert solve_pair(CANON, DiscreteDistribution((1, 2, 5)))[1:] == (0, breakpoints)
+
+    # an exact law and its float copy are equal, but never share state: each
+    # law object alternates between the exact market and its float copy
+    law, float_law = DiscreteDistribution(values), DiscreteDistribution(map(float, values))
+    assert law == float_law and hash(law) == hash(float_law)
+    cases = [(m, d) for m in (first, _float_copy(first)) for d in (law, float_law)]
+    for market, dist in cases + cases:
+        assert solve_pair(market, dist) == (fresh(market, dist.values), 1, 1)
+        want = Fraction if market.is_exact and dist.is_exact else float
+        assert all(type(solve(market, dist).value) is want for solve in pair)
+
+    # raw values still work, each call on its own law object
+    for solve in pair:
+        assert repr(solve(first, values)) == repr(solve(first, law))
 
 
 def test_attainable_payoffs():
