@@ -132,6 +132,12 @@ def _check_positive(x: float, what: str) -> float:
     return x
 
 
+def _check_nodes(nodes) -> None:
+    # below 40 nodes the rule on [-8, 8] misses unit normal mass by over 1e-14
+    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 40:
+        raise ValueError(f"nodes must be an int >= 40, got {nodes!r}")
+
+
 def _check_open_unit(v: float, what: str) -> float:
     v = float(v)
     if not 0 < v < 1:
@@ -370,6 +376,30 @@ def _gauss_nodes(nodes: int):
     return t, weight
 
 
+@lru_cache(maxsize=32)
+def _regime_terms(model: RegimeSwitchModel, nodes: int):
+    """Read-only q-free terms of _pairing_price on the high- then the low-regime nodes.
+
+    On regime r's nodes the kernel's own-component score is theta_r sqrt(T) - t
+    for every q, and the other component's is base + l(q) * scale, with
+    l(q) = log(q / p) - log((1 - q) / (1 - p)).  Returns the weights, base,
+    scale, the other component's probability and the own component's
+    P(r) ndtr(-score) and P(r) ndtr(score).
+    """
+    t, weight = _gauss_nodes(nodes)
+    p, rt = model.p, math.sqrt(model.T)
+    th, tl = model.theta_h * rt, model.theta_l * rt
+    half = (th * th - tl * tl) / 2
+    own = np.concatenate([th - t, tl - t])
+    base = np.concatenate([(th * (th - t) - half) / tl, (tl * (tl - t) + half) / th])
+    p_own = np.repeat([p, 1.0 - p], nodes)
+    scale = np.repeat([1.0 / tl, -1.0 / th], nodes)
+    terms = (weight, base, scale, p_own[::-1].copy(), p_own * ndtr(-own), p_own * ndtr(own))
+    for a in terms:
+        a.setflags(write=False)
+    return terms
+
+
 def _pairing_price(
     model: RegimeSwitchModel, q: float, target: TargetDistribution, nodes: int
 ) -> float:
@@ -377,18 +407,15 @@ def _pairing_price(
 
     In regime r, P(r) c_r is q or 1 - q and a Girsanov shift absorbs the
     exponential: the price is sum_r P(r) c_r E[G(xi_r(W))] with
-    W = sqrt(T) (V - theta_r sqrt(T)), V standard normal.  The target is read
-    at the normal score of the smaller tail of S_q, so neither tail cancels.
+    W = sqrt(T) (V - theta_r sqrt(T)), V standard normal.  Per q only the
+    other component's score shifts; _regime_terms holds the q-free rest once
+    per model.  The target is read at the normal score of the smaller tail
+    of S_q, so neither tail cancels.
     """
-    t, weight = _gauss_nodes(nodes)
-    rt = math.sqrt(model.T)
-    log_x = []
-    for c, theta in ((q / model.p, model.theta_h), ((1.0 - q) / (1.0 - model.p), model.theta_l)):
-        w = rt * (t - theta * rt)
-        log_x.append(math.log(c) - theta * w - theta**2 * model.T / 2)
-    z_h, z_l = _kernel_scores(model, q, np.concatenate(log_x))
-    sf = model.p * ndtr(-z_h) + (1.0 - model.p) * ndtr(-z_l)
-    cdf = model.p * ndtr(z_h) + (1.0 - model.p) * ndtr(z_l)
+    weight, base, scale, p_other, own_sf, own_cdf = _regime_terms(model, nodes)
+    z = base + (math.log(q / model.p) - math.log((1.0 - q) / (1.0 - model.p))) * scale
+    sf = own_sf + p_other * ndtr(-z)
+    cdf = own_cdf + p_other * ndtr(z)
     score = np.where(sf < 0.5, ndtri(np.maximum(sf, _CLIP_LO)), -ndtri(np.maximum(cdf, _CLIP_LO)))
     g_h, g_l = target.quantile_from_score(score).reshape(2, -1)
     value = q * float(np.dot(weight, g_h)) + (1.0 - q) * float(np.dot(weight, g_l))
@@ -408,9 +435,10 @@ def floor_price(
     This is the cheapest cost of any payoff with the target law, seen by the
     single kernel q.  It is a Gaussian expectation of a closed-form integrand
     in value space (see _pairing_price), computed with ``nodes``
-    Gauss-Legendre nodes on [-8, 8] standard deviations.  Point masses are
-    returned exactly.
+    Gauss-Legendre nodes on [-8, 8] standard deviations, an int of at least
+    40.  Point masses are returned exactly.
     """
+    _check_nodes(nodes)
     q = _check_open_unit(q, "kernel parameter q")
     if isinstance(target, PointMass):
         return target.value
@@ -420,7 +448,7 @@ def floor_price(
 # ---------------------------------------------------------- optimization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistributionCost:
     """Superhedging cost of a distribution and the maximizing kernel weight."""
 
@@ -445,6 +473,7 @@ def distribution_superhedge_cost(
     to rounding.  A RuntimeWarning flags maximizers within 1e-6 of the
     endpoints, where the kernel family degenerates.
     """
+    _check_nodes(nodes)
     if isinstance(target, PointMass):
         return DistributionCost(target.value, 0.5)
 
@@ -508,7 +537,7 @@ def moment_matched_targets(model: RegimeSwitchModel) -> MomentMatchedTargets:
 # ----------------------------------------------------------------- curve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurvePoint:
     variance: float
     cost_normal: float

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -385,6 +386,103 @@ def test_floor_price_node_stability():
     coarse = floor_price(MODEL, 0.3, target, nodes=400)
     fine = floor_price(MODEL, 0.3, target, nodes=800)
     assert coarse == pytest.approx(fine, rel=1e-7)
+
+
+def _reference_pairing_price(model, q, target, nodes):
+    """The pairing price as computed before the q-free terms were cached:
+    every kernel score and all four normal cdfs rebuilt at each q."""
+    t, weight = stochvol._gauss_nodes(nodes)
+    rt = math.sqrt(model.T)
+    log_x = []
+    for c, theta in ((q / model.p, model.theta_h), ((1.0 - q) / (1.0 - model.p), model.theta_l)):
+        w = rt * (t - theta * rt)
+        log_x.append(math.log(c) - theta * w - theta**2 * model.T / 2)
+    z_h, z_l = stochvol._kernel_scores(model, q, np.concatenate(log_x))
+    sf = model.p * ndtr(-z_h) + (1.0 - model.p) * ndtr(-z_l)
+    cdf = model.p * ndtr(z_h) + (1.0 - model.p) * ndtr(z_l)
+    score = np.where(sf < 0.5, ndtri(np.maximum(sf, 1e-300)), -ndtri(np.maximum(cdf, 1e-300)))
+    g_h, g_l = target.quantile_from_score(score).reshape(2, -1)
+    return q * float(np.dot(weight, g_h)) + (1.0 - q) * float(np.dot(weight, g_l))
+
+
+def test_pairing_price_matches_reference():
+    # relative to the larger of the price and the target's mean: a wide
+    # Normal on a high-volatility model prices near zero by cancellation
+    rng = np.random.default_rng(20261020)
+    models = [FLAT]
+    for _ in range(12):
+        sigma_l = rng.uniform(0.05, 0.4)
+        models.append(
+            RegimeSwitchModel(
+                mu=rng.uniform(0.01, 0.15),
+                sigma_h=sigma_l * rng.uniform(1.0, 8.0),
+                sigma_l=sigma_l,
+                p=rng.uniform(0.01, 0.99),
+                T=rng.uniform(0.25, 3.0),
+                s0=rng.uniform(0.5, 2.0),
+            )
+        )
+    for m in models:
+        mm = moment_matched_targets(m)
+        for target in (mm.normal, mm.lognormal, MixtureStock(m)):
+            for nodes in (100, 400):
+                for q in (1e-7, 1e-3, 0.5, 0.999, 1.0 - 1e-7):
+                    want = _reference_pairing_price(m, q, target, nodes)
+                    got = stochvol._pairing_price(m, q, target, nodes)
+                    assert abs(got - want) <= 2e-14 * max(abs(want), mm.mean), (m, target, nodes, q)
+
+
+def test_regime_terms_are_read_only_and_per_model():
+    terms = stochvol._regime_terms(MODEL, 100)
+    assert len(terms) == 6
+    for a in terms:
+        assert a.shape in ((100,), (200,))
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert stochvol._regime_terms(MODEL, 100) is terms
+    for field, value in (("mu", 0.06), ("sigma_h", 0.31), ("sigma_l", 0.16), ("p", 0.4), ("T", 2.0)):
+        other = stochvol._regime_terms(dataclasses.replace(MODEL, **{field: value}), 100)
+        assert other is not terms
+        assert any(not np.array_equal(a, b) for a, b in zip(other, terms)), field
+    # s0 moves no q-free term, but the entry is still the model's own
+    assert stochvol._regime_terms(dataclasses.replace(MODEL, s0=2.0), 100) is not terms
+    assert len(stochvol._regime_terms(MODEL, 400)[1]) == 800
+
+
+@pytest.mark.parametrize("nodes", [True, False, 1, 0, -3, 39, 2.5, 100.0, "100", None])
+def test_node_count_validation(nodes):
+    gauss, terms = stochvol._gauss_nodes.cache_info(), stochvol._regime_terms.cache_info()
+    target = Normal(1.05, 0.01)
+    with pytest.raises(ValueError, match="nodes"):
+        floor_price(MODEL, 0.3, target, nodes=nodes)
+    with pytest.raises(ValueError, match="nodes"):
+        floor_price(MODEL, 0.3, PointMass(1.0), nodes=nodes)
+    with pytest.raises(ValueError, match="nodes"):
+        distribution_superhedge_cost(MODEL, target, nodes=nodes)
+    assert stochvol._gauss_nodes.cache_info() == gauss
+    assert stochvol._regime_terms.cache_info() == terms
+
+
+def test_node_counts_from_40_agree():
+    target = Normal(1.05, 0.01)
+    base = floor_price(MODEL, 0.3, target, nodes=400)
+    for nodes, rel in ((40, 1e-7), (100, 1e-12), (400, 0.0)):
+        assert floor_price(MODEL, 0.3, target, nodes=nodes) == pytest.approx(base, rel=rel)
+    assert distribution_superhedge_cost(MODEL, target, nodes=40).value == pytest.approx(
+        distribution_superhedge_cost(MODEL, target).value, rel=1e-6
+    )
+
+
+def test_results_are_slotted_and_replaceable():
+    cost = distribution_superhedge_cost(MODEL, PointMass(1.7))
+    point = stochvol.CurvePoint(0.1, 1.0, 1.0)
+    for res in (cost, point):
+        assert not hasattr(res, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res, dataclasses.fields(res)[0].name, 2.0)
+    assert dataclasses.replace(cost, value=2.0) == stochvol.DistributionCost(2.0, 0.5)
+    assert dataclasses.replace(point, cost_normal=0.5).cost_normal == 0.5
 
 
 def test_floor_price_below_superhedge_cost():
