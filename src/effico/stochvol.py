@@ -20,6 +20,7 @@ hedging a claim.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -132,10 +133,15 @@ def _check_positive(x: float, what: str) -> float:
     return x
 
 
-def _check_nodes(nodes) -> None:
+def _check_nodes(nodes) -> int:
     # below 40 nodes the rule on [-8, 8] misses unit normal mass by over 1e-14
-    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 40:
+    try:
+        n = -1 if isinstance(nodes, bool) else operator.index(nodes)
+    except TypeError:
+        n = -1
+    if n < 40:
         raise ValueError(f"nodes must be an int >= 40, got {nodes!r}")
+    return n
 
 
 def _check_open_unit(v: float, what: str) -> float:
@@ -145,14 +151,18 @@ def _check_open_unit(v: float, what: str) -> float:
     return v
 
 
+def _stock_components(model: RegimeSwitchModel):
+    """p and the log-means and log-sds of the stock's high and low regimes."""
+    rt, base = math.sqrt(model.T), math.log(model.s0) + model.mu * model.T
+    sh, sl = model.sigma_h, model.sigma_l
+    return model.p, base - sh**2 * model.T / 2, sh * rt, base - sl**2 * model.T / 2, sl * rt
+
+
 def stock_cdf(model: RegimeSwitchModel, x: float) -> float:
     """P(S_T <= x): probability mixture of the two lognormal regimes."""
     x = _check_positive(x, "cdf argument")
-    rt = math.sqrt(model.T)
-    log_m = math.log(x / model.s0)
-    z_h = (log_m - (model.mu - model.sigma_h**2 / 2) * model.T) / (model.sigma_h * rt)
-    z_l = (log_m - (model.mu - model.sigma_l**2 / 2) * model.T) / (model.sigma_l * rt)
-    return float(model.p * ndtr(z_h) + (1 - model.p) * ndtr(z_l))
+    p, m_h, s_h, m_l, s_l = _stock_components(model)
+    return float(p * ndtr((math.log(x) - m_h) / s_h) + (1 - p) * ndtr((math.log(x) - m_l) / s_l))
 
 
 def _kernel_scores(model: RegimeSwitchModel, q: float, log_x):
@@ -183,6 +193,7 @@ def _mixture_log_quantile(
     s_l: float,
     u: np.ndarray,
     uc: np.ndarray,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """log of the u-quantile of p * LogN(m_h, s_h^2) + (1-p) * LogN(m_l, s_l^2).
 
@@ -190,12 +201,13 @@ def _mixture_log_quantile(
     component quantiles, on log F(y) = log u on the lower half and on
     log S(y) = log uc, with the exact complement uc, on the upper half: the
     slopes f/F and -f/S stay well scaled in the Gaussian tails, where the
-    plain cdf flattens.  Each element starts at the bracket end deeper in
-    the tail.  The residual's sign shrinks the bracket, and a Newton point
-    outside it falls back to the midpoint.  An element freezes once its
-    step or its bracket is below 1e-14 max(1, |y|) and takes that last step
-    on return; the bracket test ends flat stretches where residual noise
-    over the slope exceeds the step tolerance.  Root-finding on the
+    plain cdf flattens.  Each element starts at ``start`` clipped into the
+    bracket, or without one at the bracket end deeper in the tail.  The
+    residual's sign shrinks the bracket, and a Newton point outside it
+    falls back to the midpoint.  An element freezes once its step or its
+    bracket is below 1e-14 max(1, |y|) and takes that last step on return;
+    the bracket test ends flat stretches where residual noise over the
+    slope exceeds the step tolerance.  Root-finding on the
     component *split* level would instead saturate deep in either tail,
     where the split is not representable in floats.  A level whose u rounds
     to 1 is still inside (0, 1) while uc > 0.
@@ -209,7 +221,7 @@ def _mixture_log_quantile(
     goal = np.log(level)
     ends = m + s * (side * ndtri(level))
     lo, hi = ends.min(axis=0), ends.max(axis=0)
-    y = np.where(lower_half, lo, hi)
+    y = np.where(lower_half, lo, hi) if start is None else np.clip(start, lo, hi)
     log_w = np.log([[p], [1.0 - p]])
     log_wd = log_w - np.log(s * math.sqrt(2.0 * math.pi))
     frozen = np.zeros_like(lower_half)
@@ -235,25 +247,43 @@ def _mixture_log_quantile(
     return np.where(frozen, y - step, y)
 
 
-def _stock_quantile_array(model: RegimeSwitchModel, u: np.ndarray, uc: np.ndarray) -> np.ndarray:
-    rt = math.sqrt(model.T)
-    base = math.log(model.s0) + model.mu * model.T
-    y = _mixture_log_quantile(
-        model.p,
-        base - model.sigma_h**2 * model.T / 2,
-        model.sigma_h * rt,
-        base - model.sigma_l**2 * model.T / 2,
-        model.sigma_l * rt,
-        u,
-        uc,
-    )
-    return np.exp(y)
+@lru_cache(maxsize=32)
+def _stock_score_table(model: RegimeSwitchModel):
+    """Read-only scores t on [-37, 37], y(t) = log F_S^{-1}(Phi(t)) and dy/dt.
+
+    y is q-free, so one table per model starts every stock-law quantile.
+    The grid spans the scores of levels above _CLIP_LO; the slope is
+    phi(t) / f_logS(y), taken in logs.
+    """
+    p, m_h, s_h, m_l, s_l = comps = _stock_components(model)
+    t = np.linspace(-37.0, 37.0, 1024)
+    y = _mixture_log_quantile(*comps, ndtr(t), ndtr(-t))
+    z_h, z_l = (y - m_h) / s_h, (y - m_l) / s_l
+    log_f = np.logaddexp(math.log(p / s_h) - z_h * z_h / 2, math.log((1 - p) / s_l) - z_l * z_l / 2)
+    slope = np.exp(-t * t / 2 - log_f)
+    for a in (t, y, slope):
+        a.setflags(write=False)
+    return t, y, slope
+
+
+def _stock_log_quantile(model: RegimeSwitchModel, t, u, uc) -> np.ndarray:
+    """log stock quantile at levels u = Phi(t), started by cubic Hermite on the table."""
+    grid, y, slope = _stock_score_table(model)
+    h = grid[1] - grid[0]
+    # fmax and fmin send a nan score to the grid, where its nan level still gives nan
+    x = (np.fmin(np.fmax(t, grid[0]), grid[-1]) - grid[0]) / h
+    i = np.minimum(x.astype(np.intp), len(grid) - 2)
+    s, d0, d1, dy = x - i, h * slope[i], h * slope[i + 1], y[i + 1] - y[i]
+    start = y[i] + s * (d0 + s * (3 * dy - 2 * d0 - d1 + s * (d0 + d1 - 2 * dy)))
+    return _mixture_log_quantile(*_stock_components(model), u, uc, start)
 
 
 def stock_quantile(model: RegimeSwitchModel, u: float) -> float:
     """Generalized inverse of stock_cdf at u in (0, 1)."""
     u = _check_open_unit(u, "quantile level u")
-    return float(_stock_quantile_array(model, np.array([u]), np.array([1.0 - u]))[0])
+    # ndtri(u) only places the start; the level stays exact
+    y = _stock_log_quantile(model, np.array([ndtri(u)]), np.array([u]), np.array([1.0 - u]))
+    return float(np.exp(y[0]))
 
 
 def kernel_quantile(model: RegimeSwitchModel, q: float, u: float) -> float:
@@ -346,7 +376,7 @@ class LogNormal:
 
 @dataclass(frozen=True)
 class MixtureStock:
-    """The stock's own terminal law as the target distribution."""
+    """The stock's own terminal law; Newton starts from a Hermite fit of _stock_score_table."""
 
     model: RegimeSwitchModel
 
@@ -355,8 +385,10 @@ class MixtureStock:
 
     def quantile_from_score(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
+        flat = t.ravel()
         # ndtr(-t) is the exact complement of ndtr(t); 1 - ndtr(t) is not
-        return _stock_quantile_array(self.model, ndtr(t), ndtr(-t))
+        y = _stock_log_quantile(self.model, flat, ndtr(flat), ndtr(-flat))
+        return np.exp(y).reshape(t.shape)
 
 
 TargetDistribution = Union[PointMass, Normal, LogNormal, MixtureStock]
@@ -416,7 +448,9 @@ def _pairing_price(
     z = base + (math.log(q / model.p) - math.log((1.0 - q) / (1.0 - model.p))) * scale
     sf = own_sf + p_other * ndtr(-z)
     cdf = own_cdf + p_other * ndtr(z)
-    score = np.where(sf < 0.5, ndtri(np.maximum(sf, _CLIP_LO)), -ndtri(np.maximum(cdf, _CLIP_LO)))
+    use_sf = sf < 0.5
+    score = ndtri(np.maximum(np.where(use_sf, sf, cdf), _CLIP_LO))
+    score = np.where(use_sf, score, -score)
     g_h, g_l = target.quantile_from_score(score).reshape(2, -1)
     value = q * float(np.dot(weight, g_h)) + (1.0 - q) * float(np.dot(weight, g_l))
     if not math.isfinite(value):
@@ -438,7 +472,7 @@ def floor_price(
     Gauss-Legendre nodes on [-8, 8] standard deviations, an int of at least
     40.  Point masses are returned exactly.
     """
-    _check_nodes(nodes)
+    nodes = _check_nodes(nodes)
     q = _check_open_unit(q, "kernel parameter q")
     if isinstance(target, PointMass):
         return target.value
@@ -473,7 +507,7 @@ def distribution_superhedge_cost(
     to rounding.  A RuntimeWarning flags maximizers within 1e-6 of the
     endpoints, where the kernel family degenerates.
     """
-    _check_nodes(nodes)
+    nodes = _check_nodes(nodes)
     if isinstance(target, PointMass):
         return DistributionCost(target.value, 0.5)
 

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +267,22 @@ def test_target_quantiles():
     assert MixtureStock(MODEL).quantile(0.3) == stock_quantile(MODEL, 0.3)
 
 
+@pytest.mark.parametrize(
+    "target",
+    [PointMass(2.0), Normal(1.0, 0.2), LogNormal(0.0, 0.1), MixtureStock(MODEL)],
+    ids=lambda target: type(target).__name__,
+)
+def test_quantile_from_score_keeps_the_input_shape(target):
+    want = target.quantile_from_score(np.array([0.3]))[0]
+    for t in (0.3, np.float64(0.3), np.array(0.3)):
+        got = target.quantile_from_score(t)
+        assert np.shape(got) == ()
+        assert got == want
+    vec = target.quantile_from_score(np.array([-1.0, 0.3, 2.0]))
+    assert vec.shape == (3,)
+    assert vec[1] == want
+
+
 def test_vector_and_scalar_quantile_paths_agree():
     t = np.array([-3.0, -2.0, -0.3, 0.0, 0.4, 2.0, 3.0])
     vec = MixtureStock(MODEL).quantile_from_score(t)
@@ -353,6 +373,61 @@ def test_random_models_stock_quantile_newton(monkeypatch):
         assert np.all(np.diff(y) > 0)
 
 
+def test_stock_score_table_is_read_only_and_per_model():
+    table = stochvol._stock_score_table(MODEL)
+    assert len(table) == 3
+    for a in table:
+        assert a.shape == table[0].shape
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert table[0][0] == -37.0 and table[0][-1] == 37.0
+    assert stochvol._stock_score_table(RegimeSwitchModel(**MODEL.to_dict())) is table
+    assert stochvol._stock_score_table(dataclasses.replace(MODEL, s0=2.0)) is not table
+
+
+_TABLE_PROBE = """
+import effico.stochvol as s
+m = s.RegimeSwitchModel(mu=0.07, sigma_h=0.4, sigma_l=0.1, p=0.3, T=2.0, s0=1.2)
+misses = [s._stock_score_table.cache_info().misses]
+s.floor_price(s.DEFAULT_MODEL, s.DEFAULT_MODEL.p, s.Normal(1.0, 0.01))
+for target in (s.Normal(1.1, 0.05), s.LogNormal(0.05, 0.04)):
+    s.floor_price(m, 0.3, target)
+    s.distribution_superhedge_cost(m, target)
+misses.append(s._stock_score_table.cache_info().misses)
+s.stock_quantile(m, 0.3)
+misses.append(s._stock_score_table.cache_info().misses)
+print(misses)
+"""
+
+
+def test_stock_score_table_is_built_on_the_first_stock_quantile():
+    # a fresh interpreter: importing and pricing Normal and LogNormal targets
+    # build no table; the first stock quantile builds one
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _TABLE_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[0, 0, 1]"
+
+
+def test_stock_floor_from_the_table_takes_few_passes(monkeypatch):
+    stochvol._stock_score_table(MODEL)
+    calls = []
+
+    def counted_log_ndtr(x):
+        calls.append(1)
+        return log_ndtr(x)
+
+    monkeypatch.setattr(stochvol, "log_ndtr", counted_log_ndtr)
+    for q in (0.3, 0.45, 0.504877570199794, 0.6):
+        calls.clear()
+        floor_price(MODEL, q, MixtureStock(MODEL))
+        assert len(calls) <= 3, q
+
+
 def test_stock_law_cost_regression():
     res = distribution_superhedge_cost(MODEL, MixtureStock(MODEL))
     assert res.value == pytest.approx(0.9877217198334862, rel=0, abs=1e-14)
@@ -405,9 +480,18 @@ def _reference_pairing_price(model, q, target, nodes):
     return q * float(np.dot(weight, g_h)) + (1.0 - q) * float(np.dot(weight, g_l))
 
 
-def test_pairing_price_matches_reference():
-    # relative to the larger of the price and the target's mean: a wide
-    # Normal on a high-volatility model prices near zero by cancellation
+def _two_ndtri_pairing_price(model, q, target, nodes):
+    """The pairing price with ndtri taken of both tails, keeping the smaller's."""
+    weight, base, scale, p_other, own_sf, own_cdf = stochvol._regime_terms(model, nodes)
+    z = base + (math.log(q / model.p) - math.log((1.0 - q) / (1.0 - model.p))) * scale
+    sf = own_sf + p_other * ndtr(-z)
+    cdf = own_cdf + p_other * ndtr(z)
+    score = np.where(sf < 0.5, ndtri(np.maximum(sf, 1e-300)), -ndtri(np.maximum(cdf, 1e-300)))
+    g_h, g_l = target.quantile_from_score(score).reshape(2, -1)
+    return q * float(np.dot(weight, g_h)) + (1.0 - q) * float(np.dot(weight, g_l))
+
+
+def _seeded_models():
     rng = np.random.default_rng(20261020)
     models = [FLAT]
     for _ in range(12):
@@ -422,7 +506,13 @@ def test_pairing_price_matches_reference():
                 s0=rng.uniform(0.5, 2.0),
             )
         )
-    for m in models:
+    return models
+
+
+def test_pairing_price_matches_reference():
+    # relative to the larger of the price and the target's mean: a wide
+    # Normal on a high-volatility model prices near zero by cancellation
+    for m in _seeded_models():
         mm = moment_matched_targets(m)
         for target in (mm.normal, mm.lognormal, MixtureStock(m)):
             for nodes in (100, 400):
@@ -430,6 +520,16 @@ def test_pairing_price_matches_reference():
                     want = _reference_pairing_price(m, q, target, nodes)
                     got = stochvol._pairing_price(m, q, target, nodes)
                     assert abs(got - want) <= 2e-14 * max(abs(want), mm.mean), (m, target, nodes, q)
+
+
+def test_one_ndtri_per_score_is_bit_identical():
+    for m in _seeded_models():
+        mm = moment_matched_targets(m)
+        for target in (mm.normal, mm.lognormal, MixtureStock(m)):
+            for nodes in (100, 400):
+                for q in (1e-7, 1e-3, 0.5, 0.999, 1.0 - 1e-7):
+                    want = _two_ndtri_pairing_price(m, q, target, nodes)
+                    assert stochvol._pairing_price(m, q, target, nodes) == want, (m, target, nodes, q)
 
 
 def test_regime_terms_are_read_only_and_per_model():
@@ -450,7 +550,10 @@ def test_regime_terms_are_read_only_and_per_model():
     assert len(stochvol._regime_terms(MODEL, 400)[1]) == 800
 
 
-@pytest.mark.parametrize("nodes", [True, False, 1, 0, -3, 39, 2.5, 100.0, "100", None])
+@pytest.mark.parametrize(
+    "nodes",
+    [True, False, 1, 0, -3, 39, 2.5, 100.0, "100", None, np.bool_(True), np.float64(100.0), np.int64(39)],
+)
 def test_node_count_validation(nodes):
     gauss, terms = stochvol._gauss_nodes.cache_info(), stochvol._regime_terms.cache_info()
     target = Normal(1.05, 0.01)
@@ -462,6 +565,20 @@ def test_node_count_validation(nodes):
         distribution_superhedge_cost(MODEL, target, nodes=nodes)
     assert stochvol._gauss_nodes.cache_info() == gauss
     assert stochvol._regime_terms.cache_info() == terms
+
+
+@pytest.mark.parametrize("nodes", [np.int64(100), np.int32(100), np.uint16(100)])
+def test_numpy_integer_node_counts_are_accepted(nodes):
+    target = Normal(1.05, 0.01)
+    want = floor_price(MODEL, 0.3, target, nodes=100)
+    terms = stochvol._regime_terms.cache_info()
+    assert floor_price(MODEL, 0.3, target, nodes=nodes) == want
+    after = stochvol._regime_terms.cache_info()
+    assert (after.hits, after.misses) == (terms.hits + 1, terms.misses)
+    assert distribution_superhedge_cost(MODEL, target, nodes=nodes) == distribution_superhedge_cost(
+        MODEL, target
+    )
+    assert stochvol._regime_terms.cache_info().misses == terms.misses
 
 
 def test_node_counts_from_40_agree():
