@@ -15,7 +15,8 @@ turns the expectation into Gaussian quadrature of a closed-form integrand;
 no kernel quantile is inverted.  The price is concave in q because xi^q is
 affine in q.  For the stock's own law the cost sits strictly below S0, the
 price of the stock itself: the gap between hedging a distribution and
-hedging a claim.
+hedging a claim.  numpy loads with this module but scipy.special only on
+the first pricing call, so importing it or validating a model stays cheap.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import BracketError, NumericalError
 
@@ -60,7 +60,24 @@ _EDGE = 1e-7
 _CLIP_LO = 1e-300
 
 
+def _deferred(name: str):
+    # on the first call, import the ufunc and put it in place of this stand-in
+    def first_call(*args, **kwargs):
+        import scipy.special
+        real = getattr(scipy.special, name)
+        if globals()[name] is first_call:
+            globals()[name] = real
+        return real(*args, **kwargs)
+
+    return first_call
+
+
+log_ndtr, ndtr, ndtri = _deferred("log_ndtr"), _deferred("ndtr"), _deferred("ndtri")
+
+
 def _check_finite(x: float, what: str) -> float:
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"{what} must be finite, got {x}")
@@ -112,6 +129,9 @@ class RegimeSwitchModel:
     @classmethod
     def from_dict(cls, data: dict) -> "RegimeSwitchModel":
         try:
+            unknown = sorted(map(str, set(data) - {f.name for f in fields(cls)}))
+            if unknown:
+                raise ValueError(f"model JSON has unknown keys {', '.join(unknown)}; r is fixed at 0")
             return cls(**{f.name: data[f.name] for f in fields(cls)})
         except (KeyError, TypeError) as exc:
             raise ValueError(f"model JSON needs keys mu, sigma_h, sigma_l, p, T, s0: {exc}") from exc
@@ -127,6 +147,8 @@ DEFAULT_MODEL = RegimeSwitchModel(mu=0.05, sigma_h=0.3, sigma_l=0.15, p=0.5, T=1
 
 
 def _check_positive(x: float, what: str) -> float:
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
     x = float(x)
     if not x > 0:
         raise ValueError(f"{what} must be positive, got {x}")

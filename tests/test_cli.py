@@ -261,10 +261,15 @@ def test_gap_with_model_file(capsys, tmp_path):
 
 def test_gap_rejects_bad_model_file(capsys, tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"mu": 0.05}), encoding="utf-8")
-    code, _, err = run(capsys, "stochvol-gap", "--model", str(path))
-    assert code == 2
-    assert "error:" in err
+    for model in (
+        {"mu": 0.05},
+        dict(DEFAULT_MODEL.to_dict(), T=True, s0=True),
+        dict(DEFAULT_MODEL.to_dict(), r=0.03),
+    ):
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, _, err = run(capsys, "stochvol-gap", "--model", str(path))
+        assert code == 2, model
+        assert "error:" in err
 
 
 def test_curve_stdout_matches_library(capsys):
@@ -368,6 +373,7 @@ star = {}
 exec("from effico import *", star)
 print(json.dumps({
     "heavy": heavy,
+    "star_scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "missing": missing,
     "unbound": sorted(set(effico.__all__) - set(star)),
     "all": sorted(effico.__all__),
@@ -384,6 +390,7 @@ def test_fraction_commands_import_no_numpy(market_files):
     )
     data = json.loads(proc.stdout)
     assert data["heavy"] == []
+    assert data["star_scipy"] == []
     assert data["missing"] == []
     assert data["unbound"] == []
     assert data["all"] == PUBLIC_NAMES

@@ -76,8 +76,16 @@ def test_equal_volatilities_are_accepted():
 def test_model_dict_round_trip():
     again = RegimeSwitchModel.from_dict(MODEL.to_dict())
     assert again == MODEL
-    with pytest.raises(ValueError):
-        RegimeSwitchModel.from_dict({"mu": 0.05, "p": 0.5})
+    for bad in (
+        {"mu": 0.05, "p": 0.5},
+        dict(MODEL.to_dict(), T=True),
+        dict(MODEL.to_dict(), s0=np.bool_(True)),
+        dict(MODEL.to_dict(), T=True, s0=True),
+    ):
+        with pytest.raises(ValueError):
+            RegimeSwitchModel.from_dict(bad)
+    with pytest.raises(ValueError, match="unknown keys r;"):
+        RegimeSwitchModel.from_dict(dict(MODEL.to_dict(), r=0.03))
 
 
 def test_default_model_parameters():
@@ -94,8 +102,9 @@ def test_stock_cdf_bounds_and_monotonicity():
     vals = [stock_cdf(MODEL, x) for x in xs]
     assert all(0.0 < v < 1.0 for v in vals)
     assert all(a < b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        stock_cdf(MODEL, 0.0)
+    for bad in (0.0, True, np.bool_(True)):
+        with pytest.raises(ValueError):
+            stock_cdf(MODEL, bad)
 
 
 def test_flat_model_matches_scipy_lognorm():
@@ -244,6 +253,8 @@ def test_flat_kernel_quantile_closed_form():
         lambda: LogNormal(0.0, math.nan),
         lambda: LogNormal(math.inf, 1.0),
         lambda: PointMass(math.nan),
+        lambda: Normal(True, 1.0),
+        lambda: LogNormal(0.0, np.bool_(True)),
     ],
 )
 def test_target_validation(make):
@@ -386,6 +397,17 @@ def test_stock_score_table_is_read_only_and_per_model():
     assert stochvol._stock_score_table(dataclasses.replace(MODEL, s0=2.0)) is not table
 
 
+def _run_probe(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports effico from src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    return proc.stdout
+
+
 _TABLE_PROBE = """
 import effico.stochvol as s
 m = s.RegimeSwitchModel(mu=0.07, sigma_h=0.4, sigma_l=0.1, p=0.3, T=2.0, s0=1.2)
@@ -404,13 +426,60 @@ print(misses)
 def test_stock_score_table_is_built_on_the_first_stock_quantile():
     # a fresh interpreter: importing and pricing Normal and LogNormal targets
     # build no table; the first stock quantile builds one
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", _TABLE_PROBE],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.strip() == "[0, 0, 1]"
+    assert _run_probe(_TABLE_PROBE).strip() == "[0, 0, 1]"
+
+
+_SCIPY_PROBE = """
+import sys
+import effico.stochvol as s
+s.RegimeSwitchModel.from_dict(s.DEFAULT_MODEL.to_dict())
+s.moment_matched_targets(s.DEFAULT_MODEL)
+s.Normal(1.0, 0.01), s.LogNormal(0.0, 0.01), s.MixtureStock(s.DEFAULT_MODEL)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+s.distribution_superhedge_cost(s.DEFAULT_MODEL, s.MixtureStock(s.DEFAULT_MODEL))
+import scipy.special as sp
+print([getattr(s, n) is getattr(sp, n) for n in ("ndtr", "ndtri", "log_ndtr")])
+"""
+
+
+def test_scipy_loads_on_the_first_pricing_call():
+    # a fresh interpreter: importing the module, building a model and targets
+    # load no scipy; after the first pricing call each name is the ufunc itself
+    assert _run_probe(_SCIPY_PROBE).splitlines() == ["[]", "[True, True, True]"]
+
+
+_COUNTER_PROBE = """
+import effico.stochvol as s
+stand_in = s.log_ndtr
+calls = []
+
+def counted(x):
+    calls.append(1)
+    return stand_in(x)
+
+s.log_ndtr = counted
+s.floor_price(s.DEFAULT_MODEL, 0.3, s.MixtureStock(s.DEFAULT_MODEL))
+print(len(calls), s.log_ndtr is counted)
+"""
+
+
+def test_counter_patched_before_pricing_sees_every_pass(monkeypatch):
+    # a fresh interpreter patches a counter that wraps the stand-in itself, so
+    # the first call, which imports scipy, goes through it; the stand-in must
+    # leave the counter installed
+    passes, installed = _run_probe(_COUNTER_PROBE).split()
+    assert installed == "True"
+    # the same floor priced here from a cold score table: as many passes
+    calls = []
+
+    def counted_log_ndtr(x):
+        calls.append(1)
+        return log_ndtr(x)
+
+    stochvol._stock_score_table.cache_clear()
+    monkeypatch.setattr(stochvol, "log_ndtr", counted_log_ndtr)
+    floor_price(MODEL, 0.3, MixtureStock(MODEL))
+    assert int(passes) == len(calls) > 3
 
 
 def test_stock_floor_from_the_table_takes_few_passes(monkeypatch):
