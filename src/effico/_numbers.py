@@ -62,6 +62,7 @@ def normalize_values(values: Iterable) -> tuple[Num, ...]:
     """Parse a sequence: all-Fraction if every entry is exact, else all-float.
 
     A UserWarning names the first float when it demotes a Fraction or string.
+    A float -0.0 becomes 0.0, so no result downstream carries a negative zero.
     """
     if isinstance(values, str):
         raise TypeError(f"expected a sequence of numbers, got the string {values!r}")
@@ -72,7 +73,7 @@ def normalize_values(values: Iterable) -> tuple[Num, ...]:
     if any(isinstance(v, (Fraction, str)) for v in values):
         i = next(i for i, p in enumerate(parsed) if isinstance(p, float))
         warnings.warn(f"entry {i} is float {values[i]!r}: exact entries become floats", stacklevel=2)
-    return tuple(float(p) for p in parsed)
+    return tuple(float(p) + 0.0 for p in parsed)
 
 
 def format_number(x: Num, decimal: bool = False):

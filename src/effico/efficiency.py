@@ -35,7 +35,7 @@ from .market import (
     kernel_family,
     superhedge_cost,
 )
-from .solution import _VALUE_TOL, KernelSet, Optimizer, PayoffSet, SolutionSet, _point
+from .solution import _VALUE_TOL, KernelSet, Optimizer, PayoffSet, SolutionSet, _point, _values_tie
 
 # re-exported from three_state on first access, by __getattr__ below
 _THREE_STATE = (
@@ -84,24 +84,9 @@ def _weight_blocks(weights, exact: bool) -> list[list[int]]:
     return blocks
 
 
-def _decode(values, arrangements, order) -> list[tuple]:
-    """The value tuples that arrangements of first-occurrence codes stand for.
-
-    ``values`` is sorted, so codes sort like the values.  Walking the states
-    in ``order``, the k-th state holding code c takes the k-th of the values
-    equal to ``values[c]``.  The choice shows only for floats, where 0.0 and
-    -0.0 are equal.
-    """
-    n = len(values)
-    out = []
-    for arr in arrangements:
-        vec = [None] * n
-        used = dict.fromkeys(arr, 0)
-        for i in order:
-            vec[i] = values[arr[i] + used[arr[i]]]
-            used[arr[i]] += 1
-        out.append(tuple(vec))
-    return out
+def _decode(values, arrangements) -> list[tuple]:
+    """The value tuples that arrangements of first-occurrence codes into ``values`` stand for."""
+    return [tuple(values[c] for c in arr) for arr in arrangements]
 
 
 def _minimizing_payoffs(weights, values, exact: bool, blocks=None):
@@ -126,7 +111,7 @@ def _minimizing_payoffs(weights, values, exact: bool, blocks=None):
         pos += len(block)
     combos = (sum(combo, ()) for combo in product(*arrangements))
     codes = sorted((tuple(map(flat.__getitem__, where)) for flat in combos), reverse=True)
-    return average_dot(weights, [values[j] for j in where]), codes, _decode(values, codes, order)
+    return average_dot(weights, [values[j] for j in where]), codes, _decode(values, codes)
 
 
 def _pair_segments(codes, vectors, kernel: KernelSet):
@@ -140,8 +125,8 @@ def _pair_segments(codes, vectors, kernel: KernelSet):
     looked up by swapping two codes, O(m n^2) work for m vectors.  Segments
     come ordered by the first vector's index, then the second's; each runs
     from the earlier, larger vector in direction -1 at k1 and +1 at k2
-    (k1 < k2), so one step tuple per (k1, k2) and one range per
-    (t0, delta) are shared by every segment.
+    (k1 < k2), so one step tuple per (k1, k2) and one range per pair of
+    swapped codes are shared by every segment.
     """
     if not codes:
         return [], []
@@ -171,12 +156,10 @@ def _pair_segments(codes, vectors, kernel: KernelSet):
             if step is None:
                 step = tuple(-one if k == k1 else one if k == k2 else zero for k in range(n))
                 steps[k1, k2] = step
-            # t0 = step[0] * 0 is -0.0 for a float step with k1 = 0; the key keeps it apart
-            rkey = (k1 == 0, key[k1], key[k2])
+            rkey = (key[k1], key[k2])
             t_range = ranges.get(rkey)
             if t_range is None:
-                t_range = (step[0] * 0, abs(base[k1] - base[k2]))
-                ranges[rkey] = t_range
+                t_range = ranges[rkey] = (zero, abs(base[k1] - base[k2]))
             segments.append(Optimizer(PayoffSet(base, step, t_range), kernel))
             covered[a_idx] = covered[b_idx] = True
     return segments, [j for j, hit in enumerate(covered) if not hit]
@@ -235,18 +218,15 @@ def _maximin_parametric(fam: ParametricFamily, dist, exact):
     bps, kernels, blocks, range_sets = _breakpoints(fam, exact)
     evals = [_minimizing_payoffs(k.weights, dist.values, exact, b) for k, b in zip(kernels, blocks)]
     value = max(mp for mp, _, _ in evals)
-    tol = 0 if exact else _VALUE_TOL * max(1.0, abs(float(value)))
-    attain = [abs(mp - value) <= tol for mp, _, _ in evals]
+    attain = [_values_tie(value, mp) for mp, _, _ in evals]
 
-    # payoffs optimal across a whole flat stretch of breakpoints, as index
-    # spans; each takes its values from the breakpoint with fewer argmins
+    # payoffs optimal across a whole flat stretch of breakpoints, as index spans
     flat: dict[tuple, tuple] = {}
     for i in range(len(bps) - 1):
         if attain[i] and attain[i + 1]:
-            few, many = sorted((evals[i + 1], evals[i]), key=lambda e: len(e[1]))
-            many_codes = set(many[1])
-            for code, vec in zip(few[1], few[2]):
-                if code in many_codes:
+            later = set(evals[i + 1][1])
+            for code, vec in zip(evals[i][1], evals[i][2]):
+                if code in later:
                     spans = flat.setdefault(code, (vec, []))[1]
                     if spans and spans[-1][1] == i:
                         spans[-1] = (spans[-1][0], i + 1)
@@ -418,12 +398,11 @@ def minimax_cost(market: DiscreteMarket, dist) -> SolutionSet:
     scores = [max(sum(w * xs[c] for w, c in zip(row, arr)) for row in rows) for arr in arrangements]
     cut = min(scores) + margin
     kept = [arr for arr, score in zip(arrangements, scores) if score <= cut]
-    results = [(vec, superhedge_cost(fam, vec)) for vec in _decode(values, kept, range(n))]
+    results = [(vec, superhedge_cost(fam, vec)) for vec in _decode(values, kept)]
     value = min(res.value for _, res in results)
-    tol = 0 if exact else _VALUE_TOL * max(1.0, abs(float(value)))
     opts: list[Optimizer] = []
     for vec, res in results:
-        if abs(res.value - value) <= tol:
+        if _values_tie(value, res.value):
             opts.extend(Optimizer(_point(vec), kset) for kset in _attaining_kernel_sets(fam, res))
     return SolutionSet(Problem.MINIMAX, value, tuple(opts))
 

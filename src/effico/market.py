@@ -17,6 +17,7 @@ an optimum.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -50,6 +51,17 @@ _BOUNDARY_TOL = 1e-12
 _ATTAIN_TOL = 1e-12
 _RANK_TOL = 1e-10
 _DEDUP_TOL = 1e-10
+_KERNEL_MAX_STATES = 12  # kernel_family's limit: vertex enumeration tries every basis
+
+
+def _state_count(n) -> int:
+    """A market file's ``n``: an int, not a bool or a float that ``int()`` would truncate."""
+    try:
+        if not isinstance(n, bool):
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise ValueError(f"market JSON: n must be an int, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,7 @@ class DiscreteMarket:
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteMarket":
         try:
-            return cls(int(data["n"]), data["s0"], data["sT"])
+            return cls(_state_count(data["n"]), data["s0"], data["sT"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"market JSON needs keys n, s0, sT: {exc}") from exc
 
@@ -350,16 +362,16 @@ def _enumerate_vertices(rows, rhs, n, rank, exact) -> list[tuple[Num, ...]]:
     return verts
 
 
-def kernel_family(market: DiscreteMarket, max_states: int = 12) -> KernelFamily:
+def kernel_family(market: DiscreteMarket) -> KernelFamily:
     """All pricing kernels of a market, as a point, a segment, or a vertex list.
 
     Families are cached per market, so all solvers share one enumeration,
     and results share the family's kernels: its vertices, or the endpoint
     and breakpoint kernels that a parametric family builds once.
     """
-    if market.n > max_states:
+    if market.n > _KERNEL_MAX_STATES:
         raise TooManyStatesError(
-            f"kernel enumeration supports up to {max_states} states, got {market.n}"
+            f"kernel enumeration supports up to {_KERNEL_MAX_STATES} states, got {market.n}"
         )
     return _cached_family(market, market.is_exact)
 

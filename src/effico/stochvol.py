@@ -21,6 +21,7 @@ the first pricing call, so importing it or validating a model stays cheap.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -75,10 +76,15 @@ def _deferred(name: str):
 log_ndtr, ndtr, ndtri = _deferred("log_ndtr"), _deferred("ndtr"), _deferred("ndtri")
 
 
-def _check_finite(x: float, what: str) -> float:
-    if isinstance(x, (bool, np.bool_)):
+def _check_real(x, what: str) -> float:
+    """``x`` as a float if it is a real number; strings and booleans are refused."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"{what} must be a number, got {x!r}")
-    x = float(x)
+    return float(x)
+
+
+def _check_finite(x: float, what: str) -> float:
+    x = _check_real(x, what)
     if not math.isfinite(x):
         raise ValueError(f"{what} must be finite, got {x}")
     return x
@@ -147,9 +153,7 @@ DEFAULT_MODEL = RegimeSwitchModel(mu=0.05, sigma_h=0.3, sigma_l=0.15, p=0.5, T=1
 
 
 def _check_positive(x: float, what: str) -> float:
-    if isinstance(x, (bool, np.bool_)):
-        raise ValueError(f"{what} must be a number, got {x!r}")
-    x = float(x)
+    x = _check_real(x, what)
     if not x > 0:
         raise ValueError(f"{what} must be positive, got {x}")
     return x

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from ._numbers import Num, Problem, all_exact, is_exact, parse_number
+from ._numbers import Num, Problem, all_exact, is_exact, normalize_values, parse_number
 from .errors import DimensionMismatchError
 from .solution import _VALUE_TOL, KernelSet, Optimizer, SolutionSet, _point, _segment, _values_tie
 
@@ -51,9 +51,7 @@ class ThreeStateTarget:
     z: Num
 
     def __post_init__(self):
-        x, y, z = (parse_number(v) for v in (self.x, self.y, self.z))
-        if not all_exact((x, y, z)):
-            x, y, z = float(x), float(y), float(z)
+        x, y, z = normalize_values((self.x, self.y, self.z))
         if not (x < y < z):
             raise ValueError(f"target values must satisfy x < y < z, got {x}, {y}, {z}")
         object.__setattr__(self, "x", x)

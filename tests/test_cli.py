@@ -151,6 +151,19 @@ def test_solve_csv(capsys, market_files):
     assert out.splitlines() == ["problem,value", "minimax,2"]
 
 
+def test_solve_decimal_segment_starts_at_positive_zero(capsys, tmp_path, market_files):
+    market, _ = market_files
+    dist = tmp_path / "float.json"
+    dist.write_text(json.dumps({"values": [1.0, 2.0, 5.0]}), encoding="utf-8")
+    data = run_json(
+        capsys, "solve", "--market", market, "--dist", str(dist),
+        "--problem", "convexified-maximin", "--decimal",
+    )
+    (opt,) = data["solutions"]["convexified_maximin"]["optimizers"]
+    # str, not ==: -0.0 == 0.0
+    assert str(opt["t_range"]) == "[0.0, 3.0]"
+
+
 def test_solve_missing_file(capsys, tmp_path, market_files):
     _, dist = market_files
     code, _, err = run(
@@ -183,6 +196,8 @@ def test_solve_mismatched_sizes(capsys, tmp_path, market_files):
         ("market", {"n": 3, "s0": 2, "sT": [[4, 2, 1]]}),
         ("dist", {"values": ["1/0", 2, 3]}),
         ("market", {"n": 3, "s0": ["2"], "sT": [["4", "0/0", "1"]]}),
+        ("market", {"n": 3.9, "s0": ["2"], "sT": [["4", "2", "1"]]}),
+        ("market", {"n": True, "s0": ["2"], "sT": [["4", "2", "1"]]}),
     ],
 )
 def test_solve_malformed_json_exits_two(capsys, tmp_path, market_files, which, data):
@@ -265,6 +280,8 @@ def test_gap_rejects_bad_model_file(capsys, tmp_path):
         {"mu": 0.05},
         dict(DEFAULT_MODEL.to_dict(), T=True, s0=True),
         dict(DEFAULT_MODEL.to_dict(), r=0.03),
+        dict(DEFAULT_MODEL.to_dict(), mu="0.05"),
+        dict(DEFAULT_MODEL.to_dict(), s0=" 1 "),
     ):
         path.write_text(json.dumps(model), encoding="utf-8")
         code, _, err = run(capsys, "stochvol-gap", "--model", str(path))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -313,11 +314,12 @@ def _pair_segments_reference(vectors, kernel):
             base, other = (a, b) if a >= b else (b, a)
             k1, k2 = diff
             delta = abs(base[k1] - other[k1])
+            zero = F(0) if isinstance(delta, F) else 0.0
             step = tuple(
-                (o - c) / delta if k in (k1, k2) else (F(0) if isinstance(delta, F) else 0.0)
+                (o - c) / delta if k in (k1, k2) else zero
                 for k, (c, o) in enumerate(zip(base, other))
             )
-            segments.append(Optimizer(PayoffSet(base, step, (step[0] * 0, delta)), kernel))
+            segments.append(Optimizer(PayoffSet(base, step, (zero, delta)), kernel))
             covered.add(a)
             covered.add(b)
     return segments, [v for v in vectors if v not in covered]
@@ -393,11 +395,43 @@ def test_minimax_matches_unpruned_reference():
             want = _minimax_reference(mkt, dist)
             assert got == want
             assert repr(got) == repr(want)
-    # 0.0 and -0.0 are equal values; the optimizer keeps the sign of each zero
+    # a law holding -0.0 reads it as 0.0, so the optimizers carry no negative zero
     for market in (CANON, DiscreteMarket(4, (5.0,), ((2.0, 9.0, 1.0, 8.0),))):
         for values in ((-0.0, 0.0, 1.0, 3.0), (0.0, 2.0, -0.0, 3.0)):
             dist = DiscreteDistribution(values[: market.n])
             assert repr(minimax_cost(market, dist)) == repr(_minimax_reference(market, dist))
+
+
+SIGNED_ZERO_MARKETS = (
+    CANON,
+    DiscreteMarket(4, (5,), ((2, 9, 1, 8),)),
+    DiscreteMarket(5, (F(146, 25), F(21, 5)), ((4, 9, 1, 6, 2), (3, 2, 8, 5, 7))),
+)
+
+
+def test_results_carry_no_negative_zero():
+    """Float laws with zeros of either sign give the same results, and no -0.0 in them."""
+    rng = random.Random(23)
+    for market in map(_float_copy, SIGNED_ZERO_MARKETS):
+        for _ in range(2):
+            law = [0.0, 0.0] + [float(rng.randint(-4, 8)) for _ in range(market.n - 2)]
+            variants = [law, [-v if v == 0 else v for v in law]]
+            variants.append([rng.choice((0.0, -0.0)) if v == 0 else v for v in law])
+            reprs = [
+                [repr(solve(market, DiscreteDistribution(values))) for solve in CHAIN]
+                for values in variants
+            ]
+            assert not any(re.search(r"-0\.0(?![0-9e])", r) for r in reprs[0])
+            assert reprs[1] == reprs[2] == reprs[0]
+
+
+def test_closed_forms_read_negative_zero_as_zero():
+    for problem in ALL_PROBLEMS:
+        want = repr(three_state_closed_form((0.0, 1.0, 2.0), problem))
+        assert repr(three_state_closed_form((-0.0, 1.0, 2.0), problem)) == want
+        assert not re.search(r"-0\.0(?![0-9e])", want)
+    with pytest.warns(UserWarning, match="exact entries become floats"):
+        ThreeStateTarget(F(-1), 0.5, 2)
 
 
 def test_maximin_on_float_six_state_market():

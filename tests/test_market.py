@@ -175,6 +175,10 @@ def test_from_dict_round_trip():
     assert market.to_dict(decimal=True) == {"n": 3, "s0": [2.0], "sT": [[4.0, 2.0, 1.0]]}
     with pytest.raises(ValueError):
         DiscreteMarket.from_dict({"n": 3, "s0": ["2"]})
+    # int() would read 3.9 as 3 and true as 1
+    for n in (3.9, True, "3", None):
+        with pytest.raises(ValueError, match="n must be an int"):
+            DiscreteMarket.from_dict({"n": n, "s0": ["2"], "sT": [["4", "2", "1"]]})
 
 
 def test_float_market_agrees_with_exact():

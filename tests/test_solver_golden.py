@@ -10,7 +10,8 @@ recorded results exactly, not only within a tolerance.  The groups:
 * seeded random 4-6-state markets of every kernel-family shape, with some
   tied laws, each also as a float copy;
 * 200 seeded triples on the canonical 3-state market, exact and float;
-* float laws holding both 0.0 and -0.0.
+* float laws holding both 0.0 and -0.0, which pin that every zero comes
+  out as 0.0.
 
 Regenerate the file only for an intended change of results:
 ``PYTHONPATH=src python tests/test_solver_golden.py --record``.

@@ -81,6 +81,9 @@ def test_model_dict_round_trip():
         dict(MODEL.to_dict(), T=True),
         dict(MODEL.to_dict(), s0=np.bool_(True)),
         dict(MODEL.to_dict(), T=True, s0=True),
+        # float() would read these strings
+        dict(MODEL.to_dict(), mu="0.05"),
+        dict(MODEL.to_dict(), s0=" 1 "),
     ):
         with pytest.raises(ValueError):
             RegimeSwitchModel.from_dict(bad)
