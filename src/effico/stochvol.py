@@ -171,7 +171,7 @@ def _check_nodes(nodes) -> int:
 
 
 def _check_open_unit(v: float, what: str) -> float:
-    v = float(v)
+    v = _check_real(v, what)
     if not 0 < v < 1:
         raise ValueError(f"{what} must lie in (0, 1), got {v}")
     return v
@@ -220,6 +220,7 @@ def _mixture_log_quantile(
     u: np.ndarray,
     uc: np.ndarray,
     start: np.ndarray | None = None,
+    score: np.ndarray | None = None,
 ) -> np.ndarray:
     """log of the u-quantile of p * LogN(m_h, s_h^2) + (1-p) * LogN(m_l, s_l^2).
 
@@ -227,16 +228,18 @@ def _mixture_log_quantile(
     component quantiles, on log F(y) = log u on the lower half and on
     log S(y) = log uc, with the exact complement uc, on the upper half: the
     slopes f/F and -f/S stay well scaled in the Gaussian tails, where the
-    plain cdf flattens.  Each element starts at ``start`` clipped into the
-    bracket, or without one at the bracket end deeper in the tail.  The
-    residual's sign shrinks the bracket, and a Newton point outside it
-    falls back to the midpoint.  An element freezes once its step or its
-    bracket is below 1e-14 max(1, |y|) and takes that last step on return;
-    the bracket test ends flat stretches where residual noise over the
-    slope exceeds the step tolerance.  Root-finding on the
-    component *split* level would instead saturate deep in either tail,
-    where the split is not representable in floats.  A level whose u rounds
-    to 1 is still inside (0, 1) while uc > 0.
+    plain cdf flattens.  Each element starts at the bracket end deeper in
+    the tail, or at ``start``, where the first pass runs before a bracket
+    exists and one is built, from ``score`` if given, only for elements
+    that do not stop.  The residual's sign shrinks the bracket, and a
+    Newton point outside it falls back to the midpoint.  An element stops
+    once its step is below 1e-9 max(1, |y|), where Newton is quadratic and
+    leaves K step^2 (K < 6 for the stock's law), or its bracket is below
+    1e-14 max(1, |y|), which ends flat stretches of residual noise; it
+    takes that last step on return.  Root-finding on the component *split*
+    level would instead saturate deep in either tail, where the split is
+    not representable in floats.  A level whose u rounds to 1 is still
+    inside (0, 1) while uc > 0.
     """
     if np.any(u <= 0.0) or np.any(uc <= 0.0):
         raise BracketError("quantile level outside (0, 1)")
@@ -245,9 +248,13 @@ def _mixture_log_quantile(
     side = np.where(lower_half, 1.0, -1.0)
     m, s = np.array([[m_h], [m_l]]), np.array([[s_h], [s_l]])
     goal = np.log(level)
-    ends = m + s * (side * ndtri(level))
-    lo, hi = ends.min(axis=0), ends.max(axis=0)
-    y = np.where(lower_half, lo, hi) if start is None else np.clip(start, lo, hi)
+
+    def bracket():  # score is the normal score of the level, side * ndtri(level)
+        ends = m + s * (side * ndtri(level) if score is None else score)
+        return ends.min(axis=0), ends.max(axis=0)
+
+    lo, hi = bracket() if start is None else (None, None)
+    y = np.where(lower_half, lo, hi) if start is None else start
     log_w = np.log([[p], [1.0 - p]])
     log_wd = log_w - np.log(s * math.sqrt(2.0 * math.pi))
     frozen = np.zeros_like(lower_half)
@@ -260,12 +267,17 @@ def _mixture_log_quantile(
             hazard = np.exp(log_wd - 0.5 * z * z - log_tail)
             r = log_tail - goal
             step = side * r / (hazard[0] + hazard[1])
-            tol = 1e-14 * np.maximum(1.0, np.abs(y))
-            frozen |= (np.abs(step) <= tol) | (hi - lo <= tol)
+            scale = np.maximum(1.0, np.abs(y))
+            frozen |= np.abs(step) <= 1e-9 * scale
+            if lo is not None:
+                frozen |= hi - lo <= 1e-14 * scale
             if frozen.all():
                 break
+            if lo is None:
+                lo, hi = bracket()
             right = side * r < 0.0
-            lo, hi = np.where(right, y, lo), np.where(right, hi, y)
+            # a start outside the bracket leaves the bracket end in place
+            lo, hi = np.where(right, np.maximum(y, lo), lo), np.where(right, hi, np.minimum(y, hi))
             nxt = y - step
             # hold frozen elements: at the root r can be -0.0, whose step lands
             # on hi and would fall back to the midpoint
@@ -282,8 +294,8 @@ def _stock_score_table(model: RegimeSwitchModel):
     phi(t) / f_logS(y), taken in logs.
     """
     p, m_h, s_h, m_l, s_l = comps = _stock_components(model)
-    t = np.linspace(-37.0, 37.0, 1024)
-    y = _mixture_log_quantile(*comps, ndtr(t), ndtr(-t))
+    t = np.linspace(-37.0, 37.0, 4096)
+    y = _mixture_log_quantile(*comps, ndtr(t), ndtr(-t), score=t)
     z_h, z_l = (y - m_h) / s_h, (y - m_l) / s_l
     log_f = np.logaddexp(math.log(p / s_h) - z_h * z_h / 2, math.log((1 - p) / s_l) - z_l * z_l / 2)
     slope = np.exp(-t * t / 2 - log_f)
@@ -301,7 +313,7 @@ def _stock_log_quantile(model: RegimeSwitchModel, t, u, uc) -> np.ndarray:
     i = np.minimum(x.astype(np.intp), len(grid) - 2)
     s, d0, d1, dy = x - i, h * slope[i], h * slope[i + 1], y[i + 1] - y[i]
     start = y[i] + s * (d0 + s * (3 * dy - 2 * d0 - d1 + s * (d0 + d1 - 2 * dy)))
-    return _mixture_log_quantile(*_stock_components(model), u, uc, start)
+    return _mixture_log_quantile(*_stock_components(model), u, uc, start, t)
 
 
 def stock_quantile(model: RegimeSwitchModel, u: float) -> float:

@@ -160,6 +160,29 @@ def test_kernel_cdf_against_monte_carlo():
 # ------------------------------------------------------------- quantiles
 
 
+def test_quantile_levels_and_q_must_be_numbers():
+    # float() would read these strings; numpy floats are numbers
+    for bad in ("0.3", " 0.3 ", np.bool_(True), None):
+        with pytest.raises(ValueError):
+            stock_quantile(MODEL, bad)
+        with pytest.raises(ValueError):
+            kernel_quantile(MODEL, bad, 0.7)
+        with pytest.raises(ValueError):
+            kernel_quantile(MODEL, 0.4, bad)
+        with pytest.raises(ValueError):
+            kernel_cdf(MODEL, bad, 1.0)
+        with pytest.raises(ValueError):
+            floor_price(MODEL, bad, Normal(1.0, 0.01))
+        for target in (PointMass(2.0), Normal(1.0, 0.2), LogNormal(0.0, 0.1), MixtureStock(MODEL)):
+            with pytest.raises(ValueError):
+                target.quantile(bad)
+    assert stock_quantile(MODEL, np.float64(0.3)) == stock_quantile(MODEL, 0.3)
+    want = kernel_quantile(MODEL, 0.4, 0.7)
+    assert kernel_quantile(MODEL, np.float64(0.4), np.float64(0.7)) == want
+    normal = Normal(1.0, 0.01)
+    assert floor_price(MODEL, np.float64(0.3), normal) == floor_price(MODEL, 0.3, normal)
+
+
 def test_quantile_level_validation():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
@@ -383,7 +406,7 @@ def test_random_models_stock_quantile_newton(monkeypatch):
         y = np.log(MixtureStock(m).quantile_from_score(t))
         assert len(calls) <= 16
         ref = _stock_log_quantile_bisection(m, t)
-        assert y == pytest.approx(ref, rel=1e-13, abs=1e-13)
+        assert y == pytest.approx(ref, rel=1e-14, abs=1e-14)
         assert np.all(np.diff(y) > 0)
 
 
@@ -486,18 +509,42 @@ def test_counter_patched_before_pricing_sees_every_pass(monkeypatch):
 
 
 def test_stock_floor_from_the_table_takes_few_passes(monkeypatch):
+    # one Newton pass, and ndtri only for the kernel's scores in _pairing_price:
+    # no bracket is built, and one would read the score it already has
     stochvol._stock_score_table(MODEL)
     calls = []
 
-    def counted_log_ndtr(x):
-        calls.append(1)
-        return log_ndtr(x)
+    def counted(name, f):
+        def wrapper(x):
+            calls.append(name)
+            return f(x)
 
-    monkeypatch.setattr(stochvol, "log_ndtr", counted_log_ndtr)
+        return wrapper
+
+    monkeypatch.setattr(stochvol, "log_ndtr", counted("log_ndtr", log_ndtr))
+    monkeypatch.setattr(stochvol, "ndtri", counted("ndtri", ndtri))
     for q in (0.3, 0.45, 0.504877570199794, 0.6):
         calls.clear()
         floor_price(MODEL, q, MixtureStock(MODEL))
-        assert len(calls) <= 3, q
+        assert sorted(calls) == ["log_ndtr", "ndtri"], q
+
+
+def test_table_starts_lie_within_the_newton_stop(monkeypatch):
+    # every start from the table is already within the step that stops Newton
+    stochvol._stock_score_table(MODEL)
+    starts = []
+    solve = stochvol._mixture_log_quantile
+
+    def recorded(*args):
+        starts.append(args[7])
+        return solve(*args)
+
+    monkeypatch.setattr(stochvol, "_mixture_log_quantile", recorded)
+    t = np.linspace(-37.0, 37.0, 2001)
+    MixtureStock(MODEL).quantile_from_score(t)
+    (start,) = starts
+    root = _stock_log_quantile_bisection(MODEL, t)
+    assert np.all(np.abs(start - root) <= 1e-9 * np.maximum(1.0, np.abs(root)))
 
 
 def test_stock_law_cost_regression():
